@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table of the paper's
-   evaluation and runs Bechamel micro-benchmarks (one Test.make per
-   table) on representative instances.
+   evaluation and the workload families around it, and runs Bechamel
+   micro-benchmarks (one Test.make per table) on representative
+   instances.
 
    Default run: scaled-down bound matrix (minutes on a laptop).
    RTLSAT_FULL=1 or --full switches to the paper's full bounds with
@@ -8,24 +9,28 @@
 
    Usage: main.exe [--full] [--json [--json-file FILE]] [SUBCOMMAND]
 
-   Subcommands:
-     (none) | all      tables 1 and 2 + extension + wide_wrap + ablation + micro
-     table1            Table 1 only
-     table2            Table 2 only
-     micro             Bechamel micro-benchmarks only
-     ablation          decision/learning ablation sweep (see below)
+   Families — each produces rtlsat.bench/2 rows (see
+   docs/OBSERVABILITY.md) and prints them as a table:
+     table1            Table 1 (predicate learning)
+     table2            Table 2 (structural decisions)
      extension         suite-extension circuits
      wide_wrap         wrap-around corners over wide words (w61 family)
-     sweep             scaling curve (CSV)
      bmc_sweep         incremental sessions vs from-scratch bound sweeps
      simplify          pre/inprocessing on vs off, per clause database
-     parallel          -j 1 vs -j N engine portfolio (speedup rows)
+     parallel          -j 1 vs -j N engine portfolio
+     sweep             scaling curve: b13_1(k) per engine
+   Other subcommands:
+     (none) | all      every family but sweep, then ablation and micro
+     micro             Bechamel micro-benchmarks only
+     ablation          decision/learning ablation sweep (see below)
 
-   --json collects tables 1 and 2 with per-run metrics attached and
-   writes a BENCH_<timestamp>.json perf-trajectory artifact (schema
-   rtlsat.bench/1, see docs/OBSERVABILITY.md). *)
+   --json writes the rows of table1, table2, wide_wrap, bmc_sweep,
+   simplify and parallel, with per-run metrics attached, to a
+   BENCH_<timestamp>.json perf-trajectory artifact (any subcommand is
+   ignored). *)
 
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
+module Req = Rtlsat_harness.Req
 module Tables = Rtlsat_harness.Tables
 module Report = Rtlsat_harness.Report
 module Json = Rtlsat_obs.Json
@@ -46,10 +51,6 @@ let opt_ledger = ref ""
 let opt_no_ledger = ref false
 let subcommand = ref "all"
 
-let usage =
-  "main.exe [--full] [--json [--json-file FILE]] \
-   [all|table1|table2|micro|ablation|extension|wide_wrap|sweep|bmc_sweep|simplify|parallel]"
-
 let spec =
   Arg.align
     [
@@ -65,13 +66,6 @@ let spec =
       ("--no-ledger", Arg.Set opt_no_ledger,
        " Do not append a rtlsat.run/1 record to the cross-run ledger");
     ]
-
-let anon cmd =
-  match cmd with
-  | "all" | "table1" | "table2" | "micro" | "ablation" | "extension"
-  | "wide_wrap" | "sweep" | "bmc_sweep" | "simplify" | "parallel" ->
-    subcommand := cmd
-  | _ -> raise (Arg.Bad (Printf.sprintf "unknown subcommand %S" cmd))
 
 let scale () : Tables.scale = if !opt_full then `Full else `Scaled
 
@@ -160,56 +154,22 @@ let ablation () =
          stats.Solver.relations stats.Solver.learn_time)
     [ 0; 100; 500; 2000; 5000 ]
 
-(* scaling curve: solve time vs unrolling bound, one series per
-   engine — CSV on stdout, plot with any tool *)
-let sweep () =
-  let bounds = [ 25; 50; 75; 100; 150; 200 ] in
-  let engines = [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Bitblast ] in
-  Format.printf "@.Scaling sweep: b13_1(k), time in seconds per engine@.";
-  Format.printf "bound%s@."
-    (String.concat ""
-       (List.map (fun e -> "," ^ Engines.engine_name e) engines));
-  List.iter
+let row section instance ?(extra = []) arm run =
+  { Tables.section; instance; arm; run; extra }
+
+(* scaling curve: solve time vs unrolling bound, one arm per engine *)
+let sweep ?(timeout = 120.0) ?metrics:_ _scale =
+  List.concat_map
     (fun bound ->
-       Format.printf "%d" bound;
-       List.iter
+       List.map
          (fun e ->
-            let inst = Registry.instance ~circuit:"b13" ~prop:"1" ~bound in
-            let r =
-              Engines.run_instance
-                ~req:(Rtlsat_harness.Req.make ~timeout:120.0 ())
-                e inst
-            in
-            match r.Engines.verdict with
-            | Engines.Sat | Engines.Unsat -> Format.printf ",%.3f" r.Engines.time
-            | _ -> Format.printf ",")
-         engines;
-       Format.printf "@.")
-    bounds
-
-let table1 () =
-  let rows = Tables.run_table1 (scale ()) in
-  Tables.print_table1 Format.std_formatter rows
-
-let table2 () =
-  let rows = Tables.run_table2 (scale ()) in
-  Tables.print_table2 Format.std_formatter rows
-
-let extension () =
-  Format.printf "@.Suite extension (beyond the paper's benchmark subset):@.";
-  Tables.print_table2 Format.std_formatter (Tables.run_extension ())
-
-let bmc_sweep () =
-  Format.printf
-    "@.bmc_sweep family (one solver session per design and engine; each bound \
-     posed as an assumption, vs from-scratch re-solves):@.";
-  Tables.print_bmc_sweep Format.std_formatter (Tables.run_bmc_sweep (scale ()))
-
-let simplify () =
-  Format.printf
-    "@.simplify family (pre/inprocessing on vs off over both clause \
-     databases; the on arm's counters show the reduction):@.";
-  Tables.print_simplify Format.std_formatter (Tables.run_simplify (scale ()))
+            row "sweep"
+              (Registry.instance_name ~circuit:"b13" ~prop:"1" ~bound)
+              (Engine.name_of e)
+              (Engine.run_instance ~req:(Req.make ~timeout ()) e
+                 (Registry.instance ~circuit:"b13" ~prop:"1" ~bound)))
+         [ Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Bitblast ])
+    [ 25; 50; 75; 100; 150; 200 ]
 
 (* ---- parallel family: the requested engine alone vs a -j N
    portfolio race over domains.  Cases are picked where the requested
@@ -222,124 +182,83 @@ let simplify () =
    different winners.  On multi-core hardware the race also helps when
    the gap is small; on one core the overhead of racing N allocating
    domains (minor-GC barriers) is far above Nx, so only
-   timeout-vs-instant gaps pay — see DESIGN.md. *)
+   timeout-vs-instant gaps pay — see DESIGN.md.  The portfolio arm's
+   time is the wall clock of the whole race. ---- *)
 
 module Parallel = Rtlsat_parallel.Parallel
 
 let parallel_jobs = 4
 
-let parallel_cases =
-  [
-    ("b01", "1", 100, Engines.Lazy_cdp, 10.0);
-    ("b04", "1", 300, Engines.Lazy_cdp, 10.0);
-  ]
-
-let run_parallel () =
-  List.map
-    (fun (circuit, prop, bound, engine, timeout) ->
-       let req = Rtlsat_harness.Req.make ~timeout () in
+let parallel ?(timeout = 10.0) ?metrics:_ _scale =
+  List.concat_map
+    (fun (circuit, prop, bound) ->
+       let req = Req.make ~timeout () in
+       let row =
+         row "parallel" (Registry.instance_name ~circuit ~prop ~bound)
+       in
        let seq =
-         Engines.run_instance ~req engine
+         Engine.run_instance ~req Engine.Lazy_cdp
            (Registry.instance ~circuit ~prop ~bound)
        in
        let p =
-         Parallel.portfolio ~req ~j:parallel_jobs ~engine
+         Parallel.portfolio ~req ~j:parallel_jobs ~engine:Engine.Lazy_cdp
            (Registry.instance ~circuit ~prop ~bound)
        in
-       {
-         Report.pl_instance = Registry.instance_name ~circuit ~prop ~bound;
-         pl_engine = engine;
-         pl_j = parallel_jobs;
-         pl_seq = seq;
-         pl_par = { p.Parallel.p_run with Engines.time = p.Parallel.p_wall };
-         pl_winner = Option.map Engines.engine_name p.Parallel.p_winner;
-         pl_lineup =
-           List.map (fun (e, _) -> Engines.engine_name e) p.Parallel.p_runs;
-       })
-    parallel_cases
-
-let print_parallel rows =
-  Format.printf "%-12s %-10s %3s %9s %9s %8s  %s@." "instance" "engine" "j"
-    "seq(s)" "par(s)" "speedup" "winner";
-  List.iter
-    (fun (r : Report.parallel_row) ->
-       let cell (run : Engines.run) =
-         match run.Engines.verdict with
-         | Engines.Timeout -> Printf.sprintf "%9s" "-to-"
-         | Engines.Abort _ -> Printf.sprintf "%9s" "-A-"
-         | _ -> Printf.sprintf "%9.2f" run.Engines.time
+       let winner =
+         match p.Parallel.p_winner with
+         | Some w -> Json.Str (Engine.name_of w)
+         | None -> Json.Null
        in
-       Format.printf "%-12s %-10s %3d %s %s %7.1fx  %s@." r.Report.pl_instance
-         (Engines.engine_name r.Report.pl_engine)
-         r.Report.pl_j (cell r.Report.pl_seq) (cell r.Report.pl_par)
-         (if r.Report.pl_par.Engines.time > 0.0 then
-            r.Report.pl_seq.Engines.time /. r.Report.pl_par.Engines.time
-          else 0.0)
-         (match r.Report.pl_winner with Some w -> w | None -> "-"))
-    rows
+       [
+         row (Engine.name_of Engine.Lazy_cdp ^ "/j1") seq;
+         row
+           (Printf.sprintf "portfolio/j%d" parallel_jobs)
+           { p.Parallel.p_run with Engine.time = p.Parallel.p_wall }
+           ~extra:[ ("winner", winner) ];
+       ])
+    [ ("b01", "1", 100); ("b04", "1", 300) ]
 
-let parallel () =
-  Format.printf
-    "@.parallel family (requested engine at -j 1 vs a -j %d portfolio race \
-     with first-finisher-wins cancellation):@."
-    parallel_jobs;
-  print_parallel (run_parallel ())
+let families : Tables.family list =
+  Tables.families @ [ ("parallel", parallel); ("sweep", sweep) ]
 
-let wide_wrap () =
-  Format.printf
-    "@.wide_wrap family (wrap-around corners over wide words; every case Sat \
-     at exactly one corner):@.";
-  Tables.print_table2 Format.std_formatter (Tables.run_wide_wrap ())
+let subcommands = "all" :: "micro" :: "ablation" :: List.map fst families
 
-(* ---- the perf-trajectory artifact: both tables with per-run
+let usage =
+  Printf.sprintf "main.exe [--full] [--json [--json-file FILE]] [%s]"
+    (String.concat "|" subcommands)
+
+let anon cmd =
+  if List.mem cmd subcommands then subcommand := cmd
+  else raise (Arg.Bad (Printf.sprintf "unknown subcommand %S" cmd))
+
+let run_family ?metrics name =
+  if not (List.mem name [ "table1"; "table2" ]) then
+    Format.printf "@.%s:@." name;
+  let rows = (List.assoc name families) ?metrics (scale ()) in
+  Tables.print Format.std_formatter rows;
+  rows
+
+(* ---- the perf-trajectory artifact: the families' rows with per-run
    metrics, one timestamped JSON file per invocation ---- *)
 
+let artifact_families =
+  [ "table1"; "table2"; "wide_wrap"; "bmc_sweep"; "simplify"; "parallel" ]
+
 let bench_artifact () =
-  let sc = scale () in
-  let tm = Unix.localtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let generated_at =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
+  let rows = List.concat_map (run_family ~metrics:true) artifact_families in
+  let doc = Report.bench_json ~scale:(Tables.scale_name (scale ())) rows in
   let path =
-    if !opt_json_file <> "" then !opt_json_file else "BENCH_" ^ stamp ^ ".json"
-  in
-  let scale_str = Tables.scale_name sc in
-  Format.printf "collecting Table 1 with metrics...@.";
-  let t1 = Tables.run_table1 ~metrics:true sc in
-  Tables.print_table1 Format.std_formatter t1;
-  Format.printf "@.collecting Table 2 with metrics...@.";
-  let t2 = Tables.run_table2 ~metrics:true sc in
-  Tables.print_table2 Format.std_formatter t2;
-  Format.printf "@.collecting wide_wrap with metrics...@.";
-  let ww = Tables.run_wide_wrap ~metrics:true () in
-  Tables.print_table2 Format.std_formatter ww;
-  Format.printf "@.collecting bmc_sweep with metrics...@.";
-  let sw = Tables.run_bmc_sweep ~metrics:true sc in
-  Tables.print_bmc_sweep Format.std_formatter sw;
-  Format.printf "@.collecting simplify with metrics...@.";
-  let sy = Tables.run_simplify ~metrics:true sc in
-  Tables.print_simplify Format.std_formatter sy;
-  Format.printf "@.collecting parallel speedups...@.";
-  let pl = run_parallel () in
-  print_parallel pl;
-  let doc =
-    Report.bench_json ~generated_at ~scale:scale_str
-      ~sections:
-        [
-          ("table1", Report.table1_json ~scale:scale_str t1);
-          ("table2", Report.table2_json ~scale:scale_str t2);
-          ("wide_wrap", Report.table2_json ~scale:scale_str ww);
-          ("bmc_sweep", Report.bmc_sweep_json ~scale:scale_str sw);
-          ("simplify", Report.simplify_json ~scale:scale_str sy);
-          ("parallel", Report.parallel_json ~scale:scale_str pl);
-        ]
+    if !opt_json_file <> "" then !opt_json_file
+    else
+      (* generated_at "2026-08-06T10:20:30" -> BENCH_20260806_102030.json *)
+      Option.bind (Json.member "generated_at" doc) Json.get_string
+      |> Option.get |> String.to_seq
+      |> Seq.filter_map (function
+        | '-' | ':' -> None
+        | 'T' -> Some '_'
+        | c -> Some c)
+      |> String.of_seq
+      |> Printf.sprintf "BENCH_%s.json"
   in
   let oc = open_out path in
   Json.to_channel oc doc;
@@ -386,27 +305,15 @@ let () =
     if !opt_json then Some (bench_artifact ())
     else begin
       (match !subcommand with
-       | "table1" -> table1 ()
-       | "table2" -> table2 ()
        | "micro" -> micro ()
        | "ablation" -> ablation ()
-       | "extension" -> extension ()
-       | "wide_wrap" -> wide_wrap ()
-       | "sweep" -> sweep ()
-       | "bmc_sweep" -> bmc_sweep ()
-       | "simplify" -> simplify ()
-       | "parallel" -> parallel ()
-       | _ ->
-         table1 ();
-         Format.printf "@.";
-         table2 ();
-         extension ();
-         wide_wrap ();
-         bmc_sweep ();
-         simplify ();
-         parallel ();
+       | "all" ->
+         List.iter
+           (fun (name, _) -> if name <> "sweep" then ignore (run_family name))
+           families;
          ablation ();
-         micro ());
+         micro ()
+       | name -> ignore (run_family name));
       None
     end
   in

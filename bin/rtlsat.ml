@@ -19,14 +19,14 @@
      table1 / table2    regenerate the paper's tables
 
    Exit codes (shared across subcommands): 0 success; 1 negative
-   finding (timeout/abort verdict, fuzz failures, bench-diff
-   regressions); 2 unreadable or invalid input. *)
+   finding (timeout/abort verdict, UNKNOWN from prove, fuzz failures,
+   bench-diff regressions); 2 unreadable or invalid input. *)
 
 open Cmdliner
 module Ir = Rtlsat_rtl.Ir
 module Structure = Rtlsat_rtl.Structure
 module Registry = Rtlsat_itc99.Registry
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Req = Rtlsat_harness.Req
 module Serve = Rtlsat_harness.Serve
 module Tables = Rtlsat_harness.Tables
@@ -60,8 +60,8 @@ let std_exits =
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info 1
       ~doc:
-        "on a negative finding: a timeout or abort verdict, fuzz failures, \
-         or bench-diff regressions.";
+        "on a negative finding: a timeout or abort verdict, an UNKNOWN \
+         k-induction result, fuzz failures, or bench-diff regressions.";
     Cmd.Exit.info 2
       ~doc:
         "on unreadable or invalid input: unknown circuit/property, \
@@ -125,9 +125,9 @@ let ledger_append ledger ~subcommand ~instance ~engine ~options ~verdict
 let engine_conv =
   let all =
     [
-      ("hdpll", Engines.Hdpll); ("hdpll+s", Engines.Hdpll_s);
-      ("hdpll+s+p", Engines.Hdpll_sp); ("hdpll+p", Engines.Hdpll_p);
-      ("bitblast", Engines.Bitblast); ("lazy-cdp", Engines.Lazy_cdp);
+      ("hdpll", Engine.Hdpll); ("hdpll+s", Engine.Hdpll_s);
+      ("hdpll+s+p", Engine.Hdpll_sp); ("hdpll+p", Engine.Hdpll_p);
+      ("bitblast", Engine.Bitblast); ("lazy-cdp", Engine.Lazy_cdp);
     ]
   in
   Arg.enum all
@@ -262,7 +262,7 @@ let solve_cmd =
     Arg.(value & opt (some int) None & info [ "k"; "bound" ] ~docv:"FRAMES")
   in
   let engine =
-    Arg.(value & opt engine_conv Engines.Hdpll_sp & info [ "e"; "engine" ])
+    Arg.(value & opt engine_conv Engine.Hdpll_sp & info [ "e"; "engine" ])
   in
   let timeout = Arg.(value & opt float 1200.0 & info [ "timeout" ] ~docv:"SECONDS") in
   let stats_json =
@@ -427,9 +427,9 @@ let solve_cmd =
     let jobs = max 1 jobs in
     (if cube then
        match engine with
-       | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p
+       | Engine.Hdpll | Engine.Hdpll_s | Engine.Hdpll_sp | Engine.Hdpll_p
          -> ()
-       | Engines.Bitblast | Engines.Lazy_cdp ->
+       | Engine.Bitblast | Engine.Lazy_cdp ->
          Format.eprintf
            "rtlsat: --cube needs a hybrid engine (no split heap to cube on)@.";
          exit 2);
@@ -451,7 +451,7 @@ let solve_cmd =
                 c.Parallel.c_refuted c.Parallel.c_exchange_pushed
                 c.Parallel.c_exchange_taken c.Parallel.c_probe_time ];
           {
-            Engines.verdict = c.Parallel.c_verdict;
+            Engine.verdict = c.Parallel.c_verdict;
             time = c.Parallel.c_time;
             relations = 0;
             learn_time = 0.0;
@@ -467,20 +467,20 @@ let solve_cmd =
             [ Printf.sprintf "portfolio -j %d raced {%s}: %s" jobs
                 (String.concat ", "
                    (List.map
-                      (fun (e, _) -> Engines.engine_name e)
+                      (fun (e, _) -> Engine.name_of e)
                       p.Parallel.p_runs))
                 (match p.Parallel.p_winner with
-                 | Some e -> "winner " ^ Engines.engine_name e
+                 | Some e -> "winner " ^ Engine.name_of e
                  | None -> "no decisive finisher") ];
           {
             p.Parallel.p_run with
-            Engines.time = p.Parallel.p_wall;
-            Engines.metrics =
+            Engine.time = p.Parallel.p_wall;
+            Engine.metrics =
               (if need_obs then Some p.Parallel.p_metrics
-               else p.Parallel.p_run.Engines.metrics);
+               else p.Parallel.p_run.Engine.metrics);
           }
         end
-        else Engines.run_instance ~req engine inst
+        else Engine.run_instance ~req engine inst
       with e ->
         (* post-mortem for crashes, not just timeouts *)
         ignore (dump_flight ());
@@ -489,21 +489,21 @@ let solve_cmd =
     Obs.close obs;
     List.iter (fun l -> Format.printf "%s@." l) !mode_note;
     Format.printf "%s %s: %s in %.2fs@." label
-      (Engines.engine_name engine)
-      (match r.Engines.verdict with
-       | Engines.Sat -> "SATISFIABLE (witness validated)"
-       | Engines.Unsat -> "UNSATISFIABLE"
-       | Engines.Timeout -> "TIMEOUT"
-       | Engines.Abort msg -> "ABORT: " ^ msg)
-      r.Engines.time;
+      (Engine.name_of engine)
+      (match r.Engine.verdict with
+       | Engine.Sat -> "SATISFIABLE (witness validated)"
+       | Engine.Unsat -> "UNSATISFIABLE"
+       | Engine.Timeout -> "TIMEOUT"
+       | Engine.Abort msg -> "ABORT: " ^ msg)
+      r.Engine.time;
     Format.printf "decisions=%d conflicts=%d relations=%d%s@."
-      r.Engines.decisions r.Engines.conflicts r.Engines.relations
-      (match r.Engines.stats with
+      r.Engine.decisions r.Engine.conflicts r.Engine.relations
+      (match r.Engine.stats with
        | Some st when st.Rtlsat_core.Solver.splits > 0 ->
          Printf.sprintf " splits=%d" st.Rtlsat_core.Solver.splits
        | _ -> "");
     if progress then
-      (match r.Engines.metrics with
+      (match r.Engine.metrics with
        | Some m ->
          Format.eprintf "phase self-times:@.";
          List.iter
@@ -537,26 +537,26 @@ let solve_cmd =
           exit 2)
      | None -> ());
     let dumped =
-      match r.Engines.verdict with
-      | Engines.Timeout | Engines.Abort _ -> dump_flight ()
-      | Engines.Sat | Engines.Unsat -> false
+      match r.Engine.verdict with
+      | Engine.Timeout | Engine.Abort _ -> dump_flight ()
+      | Engine.Sat | Engine.Unsat -> false
     in
     ledger_append ledger ~subcommand:"solve" ~instance:label
-      ~engine:(Engines.engine_name engine)
+      ~engine:(Engine.name_of engine)
       ~options:
         (Printf.sprintf "bound=%d,split=%b,simplify=%b,inprocess=%d,j=%d%s"
            bound opts.eo_split opts.eo_simplify opts.eo_inprocess jobs
            (if cube then ",cube" else ""))
-      ~verdict:(Report.verdict_string r.Engines.verdict)
-      ~wall_s:r.Engines.time
+      ~verdict:(Engine.verdict_string r.Engine.verdict)
+      ~wall_s:r.Engine.time
       ~counters:
         ([
-           ("decisions", r.Engines.decisions);
-           ("conflicts", r.Engines.conflicts);
-           ("relations", r.Engines.relations);
+           ("decisions", r.Engine.decisions);
+           ("conflicts", r.Engine.conflicts);
+           ("relations", r.Engine.relations);
          ]
          @
-         match r.Engines.stats with
+         match r.Engine.stats with
          | Some st -> [ ("splits", st.Rtlsat_core.Solver.splits) ]
          | None -> [])
       ~artifacts:
@@ -567,9 +567,9 @@ let solve_cmd =
              (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
              (if dumped then [ ("flight", flight_out) ] else []);
            ]);
-    match r.Engines.verdict with
-    | Engines.Timeout | Engines.Abort _ -> exit 1
-    | Engines.Sat | Engines.Unsat -> ()
+    match r.Engine.verdict with
+    | Engine.Timeout | Engine.Abort _ -> exit 1
+    | Engine.Sat | Engine.Unsat -> ()
   in
   Cmd.v
     (Cmd.info "solve" ~exits:std_exits
@@ -666,7 +666,7 @@ let sweep_cmd =
              ~doc:"Comma-separated bounds to sweep, in order")
   in
   let engine =
-    Arg.(value & opt engine_conv Engines.Hdpll_sp & info [ "e"; "engine" ])
+    Arg.(value & opt engine_conv Engine.Hdpll_sp & info [ "e"; "engine" ])
   in
   let timeout =
     Arg.(value & opt float 1200.0 & info [ "timeout" ] ~docv:"SECONDS"
@@ -792,41 +792,41 @@ let sweep_cmd =
     if jobs > 1 then
       Format.printf
         "%s_%s sweep, engine %s: %d worker sessions, bounds as assumptions@."
-        circuit prop (Engines.engine_name engine) jobs
+        circuit prop (Engine.name_of engine) jobs
     else
       Format.printf
         "%s_%s sweep, engine %s: one session, bounds as assumptions@." circuit
-        prop (Engines.engine_name engine);
+        prop (Engine.name_of engine);
     Format.printf "%5s %-4s %8s%s %12s %12s@." "bound" "rslt" "incr"
       (if scratch then "  scratch" else "")
       "carried-cls" "carried-rels";
-    let pp_run fmt (r : Engines.run) =
-      match r.Engines.verdict with
-      | Engines.Timeout -> Format.fprintf fmt "%8s" "-to-"
-      | Engines.Abort _ -> Format.fprintf fmt "%8s" "-A-"
-      | _ -> Format.fprintf fmt "%8.2f" r.Engines.time
+    let pp_run fmt (r : Engine.run) =
+      match r.Engine.verdict with
+      | Engine.Timeout -> Format.fprintf fmt "%8s" "-to-"
+      | Engine.Abort _ -> Format.fprintf fmt "%8s" "-A-"
+      | _ -> Format.fprintf fmt "%8.2f" r.Engine.time
     in
     let incr_total = ref 0.0 and scratch_total = ref 0.0 in
     List.iter
-      (fun (step : Engines.sweep_step) ->
-         incr_total := !incr_total +. step.Engines.sw_run.Engines.time;
+      (fun (step : Engine.sweep_step) ->
+         incr_total := !incr_total +. step.Engine.sw_run.Engine.time;
          let scratch_cell =
            if scratch then begin
              let r =
-               Engines.run_instance
+               Engine.run_instance
                  ~req:(Req.make ~timeout ())
                  engine
-                 (Registry.instance ~circuit ~prop ~bound:step.Engines.sw_bound)
+                 (Registry.instance ~circuit ~prop ~bound:step.Engine.sw_bound)
              in
-             scratch_total := !scratch_total +. r.Engines.time;
+             scratch_total := !scratch_total +. r.Engine.time;
              Format.asprintf " %a" pp_run r
            end
            else ""
          in
-         Format.printf "%5d %-4s %a%s %12d %12d@." step.Engines.sw_bound
-           (Engines.verdict_symbol step.Engines.sw_run.Engines.verdict)
-           pp_run step.Engines.sw_run scratch_cell
-           step.Engines.sw_carried_clauses step.Engines.sw_carried_relations)
+         Format.printf "%5d %-4s %a%s %12d %12d@." step.Engine.sw_bound
+           (Engine.verdict_symbol step.Engine.sw_run.Engine.verdict)
+           pp_run step.Engine.sw_run scratch_cell
+           step.Engine.sw_carried_clauses step.Engine.sw_carried_relations)
       steps;
     if scratch then
       Format.printf "total: incremental %.2fs, from-scratch %.2fs@." !incr_total
@@ -837,19 +837,19 @@ let sweep_cmd =
      | None -> ());
     let bad =
       List.exists
-        (fun (step : Engines.sweep_step) ->
-           match step.Engines.sw_run.Engines.verdict with
-           | Engines.Timeout | Engines.Abort _ -> true
-           | Engines.Sat | Engines.Unsat -> false)
+        (fun (step : Engine.sweep_step) ->
+           match step.Engine.sw_run.Engine.verdict with
+           | Engine.Timeout | Engine.Abort _ -> true
+           | Engine.Sat | Engine.Unsat -> false)
         steps
     in
     let dumped = if bad then dump_flight () else false in
     let sweep_verdict =
       let has v =
         List.exists
-          (fun (s : Engines.sweep_step) ->
-             match (s.Engines.sw_run.Engines.verdict, v) with
-             | Engines.Timeout, `T | Engines.Abort _, `A -> true
+          (fun (s : Engine.sweep_step) ->
+             match (s.Engine.sw_run.Engine.verdict, v) with
+             | Engine.Timeout, `T | Engine.Abort _, `A -> true
              | _ -> false)
           steps
       in
@@ -857,17 +857,17 @@ let sweep_cmd =
       else if has `A then "abort"
       else
         match List.rev steps with
-        | last :: _ -> Report.verdict_string last.Engines.sw_run.Engines.verdict
+        | last :: _ -> Engine.verdict_string last.Engine.sw_run.Engine.verdict
         | [] -> "abort"
     in
     let total c =
       List.fold_left
-        (fun acc (s : Engines.sweep_step) -> acc + c s.Engines.sw_run)
+        (fun acc (s : Engine.sweep_step) -> acc + c s.Engine.sw_run)
         0 steps
     in
     ledger_append ledger ~subcommand:"sweep"
       ~instance:(Printf.sprintf "%s_%s" circuit prop)
-      ~engine:(Engines.engine_name engine)
+      ~engine:(Engine.name_of engine)
       ~options:
         (Printf.sprintf "bounds=%s,simplify=%b,inprocess=%d,j=%d"
            (String.concat ";" (List.map string_of_int bounds))
@@ -876,8 +876,8 @@ let sweep_cmd =
       ~counters:
         [
           ("bounds", List.length steps);
-          ("decisions", total (fun r -> r.Engines.decisions));
-          ("conflicts", total (fun r -> r.Engines.conflicts));
+          ("decisions", total (fun r -> r.Engine.decisions));
+          ("conflicts", total (fun r -> r.Engine.conflicts));
         ]
       ~artifacts:
         (List.concat
@@ -901,7 +901,7 @@ let sweep_cmd =
 
 let serve_cmd =
   let engine =
-    Arg.(value & opt engine_conv Engines.Hdpll_sp
+    Arg.(value & opt engine_conv Engine.Hdpll_sp
          & info [ "e"; "engine" ]
              ~doc:"Default engine for requests that do not name one")
   in
@@ -948,7 +948,8 @@ let prove_cmd =
               prop k
           | Rtlsat_harness.Induction.Unknown ->
             Format.printf "%s_%s UNKNOWN up to k=%d (not inductive)@." circuit prop
-              max_k))
+              max_k;
+            exit 1))
     | exception Not_found ->
       Format.eprintf "unknown circuit %s@." circuit;
       exit 2
@@ -1699,32 +1700,24 @@ let timeout_term =
 
 let json_term =
   Arg.(value & flag & info [ "json" ]
-         ~doc:"Emit the table as JSON on stdout (with per-run metrics) \
-               instead of the formatted text table")
+         ~doc:"Emit the table as a rtlsat.bench/2 artifact on stdout (with \
+               per-run metrics) instead of the formatted text table")
 
-let table1_cmd =
+(* one subcommand per paper table, dispatched through Tables.families *)
+let table_cmd name ~doc =
   let run scale timeout json =
-    let rows = Tables.run_table1 ?timeout ~metrics:json scale in
+    let rows = (List.assoc name Tables.families) ?timeout ~metrics:json scale in
     if json then (
       Json.to_channel stdout
-        (Report.table1_json ~scale:(Tables.scale_name scale) rows);
+        (Report.bench_json ~scale:(Tables.scale_name scale) rows);
       print_newline ())
-    else Tables.print_table1 Format.std_formatter rows
+    else Tables.print Format.std_formatter rows
   in
-  Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (predicate learning)")
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run $ scale_term $ timeout_term $ json_term)
 
-let table2_cmd =
-  let run scale timeout json =
-    let rows = Tables.run_table2 ?timeout ~metrics:json scale in
-    if json then (
-      Json.to_channel stdout
-        (Report.table2_json ~scale:(Tables.scale_name scale) rows);
-      print_newline ())
-    else Tables.print_table2 Format.std_formatter rows
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 (structural decisions)")
-    Term.(const run $ scale_term $ timeout_term $ json_term)
+let table1_cmd = table_cmd "table1" ~doc:"Regenerate Table 1 (predicate learning)"
+let table2_cmd = table_cmd "table2" ~doc:"Regenerate Table 2 (structural decisions)"
 
 let () =
   let doc = "RTL satisfiability with structural search and predicate learning" in

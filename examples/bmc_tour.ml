@@ -14,7 +14,7 @@ module Unroll = Rtlsat_bmc.Unroll
 module Bmc = Rtlsat_bmc.Bmc
 module Registry = Rtlsat_itc99.Registry
 module Solver = Rtlsat_core.Solver
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 
 let check circuit prop bound =
   let label = Registry.instance_name ~circuit ~prop ~bound in

@@ -1,6 +1,6 @@
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Req = Rtlsat_harness.Req
 module Report = Rtlsat_harness.Report
 
@@ -8,7 +8,7 @@ type config = {
   seed : int;
   count : int;
   gen : Gen.cfg;
-  engines : Engines.engine list;
+  engines : Engine.id list;
   req : Req.t;
   deadline : float;
   cert_budget : int;
@@ -94,8 +94,8 @@ let run cfg =
       let has v =
         List.exists (fun (_, w) -> w = v) outcome.Oracle.verdicts
       in
-      if has Engines.Sat then (incr sat; Obs.incr cfg.obs "fuzz.sat")
-      else if has Engines.Unsat then (incr unsat; Obs.incr cfg.obs "fuzz.unsat")
+      if has Engine.Sat then (incr sat; Obs.incr cfg.obs "fuzz.sat")
+      else if has Engine.Unsat then (incr unsat; Obs.incr cfg.obs "fuzz.unsat")
       else (incr timeouts; Obs.incr cfg.obs "fuzz.timeouts");
       (match cfg.log with Some f -> f !i case outcome | None -> ());
       (match outcome.Oracle.failure with
@@ -131,7 +131,7 @@ let failure_reason (o : Oracle.outcome) =
   | None -> "none"
   | Some Oracle.Disagree -> "disagreement"
   | Some (Oracle.Witness_rejected (e, _)) ->
-    "witness-rejected:" ^ Engines.engine_name e
+    "witness-rejected:" ^ Engine.name_of e
   | Some (Oracle.Unsat_refuted _) -> "unsat-refuted"
 
 let failure_json f =
@@ -144,7 +144,7 @@ let failure_json f =
        Json.Obj
          (List.map
             (fun (e, v) ->
-               (Engines.engine_name e, Json.Str (Report.verdict_string v)))
+               (Engine.name_of e, Json.Str (Engine.verdict_string v)))
             f.f_outcome.Oracle.verdicts));
       ("bound", Json.Int f.f_case.Case.bound);
       ("semantics", Json.Str (Case.semantics_name f.f_case.Case.semantics));

@@ -12,13 +12,13 @@
 
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 
 type config = {
   seed : int;
   count : int;                  (** instances to attempt *)
   gen : Gen.cfg;
-  engines : Engines.engine list;
+  engines : Engine.id list;
   req : Rtlsat_harness.Req.t;
       (** request context of every engine run — its [timeout] bounds
           each run, its [simplify]/[inprocess] select pre/inprocessing

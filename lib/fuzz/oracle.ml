@@ -1,12 +1,12 @@
 open Rtlsat_rtl
 module Bmc = Rtlsat_bmc.Bmc
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Req = Rtlsat_harness.Req
 module R = Random.State
 
 type failure =
   | Disagree
-  | Witness_rejected of Engines.engine * string
+  | Witness_rejected of Engine.id * string
   | Unsat_refuted of int list list
 
 type certificate =
@@ -16,15 +16,15 @@ type certificate =
   | No_certificate
 
 type outcome = {
-  verdicts : (Engines.engine * Engines.verdict) list;
+  verdicts : (Engine.id * Engine.verdict) list;
   failure : failure option;
   cert : certificate;
 }
 
 let default_engines =
   [
-    Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_p; Engines.Hdpll_sp;
-    Engines.Bitblast; Engines.Lazy_cdp;
+    Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_p; Engine.Hdpll_sp;
+    Engine.Bitblast; Engine.Lazy_cdp;
   ]
 
 let violated (inst : Bmc.instance) matrix =
@@ -91,12 +91,12 @@ let check ?(engines = default_engines) ?(req = default_req)
   let inst = Case.instance case in
   let verdicts =
     List.map
-      (fun e -> (e, (Engines.run_instance ~req e inst).Engines.verdict))
+      (fun e -> (e, (Engine.run_instance ~req e inst).Engine.verdict))
       engines
   in
   let aborted =
     List.find_map
-      (function e, Engines.Abort msg -> Some (e, msg) | _ -> None)
+      (function e, Engine.Abort msg -> Some (e, msg) | _ -> None)
       verdicts
   in
   let has v = List.exists (fun (_, w) -> w = v) verdicts in
@@ -104,12 +104,12 @@ let check ?(engines = default_engines) ?(req = default_req)
   | Some (e, msg) ->
     { verdicts; failure = Some (Witness_rejected (e, msg)); cert = No_certificate }
   | None ->
-    if has Engines.Sat && has Engines.Unsat then
+    if has Engine.Sat && has Engine.Unsat then
       { verdicts; failure = Some Disagree; cert = No_certificate }
-    else if has Engines.Sat then
+    else if has Engine.Sat then
       (* models already replayed through Sim inside run_instance *)
       { verdicts; failure = None; cert = Witness_replay }
-    else if has Engines.Unsat then (
+    else if has Engine.Unsat then (
       match refute ~budget:cert_budget ~seed inst with
       | Some (matrix, _) ->
         { verdicts; failure = Some (Unsat_refuted matrix); cert = No_certificate }
@@ -134,8 +134,8 @@ let describe o =
     String.concat " "
       (List.map
          (fun (e, v) ->
-            Printf.sprintf "%s=%s" (Engines.engine_name e)
-              (Engines.verdict_symbol v))
+            Printf.sprintf "%s=%s" (Engine.name_of e)
+              (Engine.verdict_symbol v))
          o.verdicts)
   in
   let tail =
@@ -148,7 +148,7 @@ let describe o =
         | No_certificate -> " [timeout]")
     | Some Disagree -> " [DISAGREEMENT]"
     | Some (Witness_rejected (e, msg)) ->
-      Printf.sprintf " [WITNESS REJECTED: %s: %s]" (Engines.engine_name e) msg
+      Printf.sprintf " [WITNESS REJECTED: %s: %s]" (Engine.name_of e) msg
     | Some (Unsat_refuted _) -> " [UNSAT REFUTED BY SIMULATION]"
   in
   vs ^ tail

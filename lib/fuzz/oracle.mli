@@ -7,7 +7,7 @@
     - all non-timeout verdicts must agree;
     - every [Sat] model is replayed through the cycle-accurate
       simulator ({!Rtlsat_bmc.Bmc.witness_ok}, performed inside
-      {!Rtlsat_harness.Engines.run_instance}; a model that does not
+      {!Rtlsat_harness.Engine.run_instance}; a model that does not
       replay surfaces as [Witness_rejected]);
     - a unanimous [Unsat] is checked against an independent
       certificate: when the instance's input space fits the budget the
@@ -18,12 +18,12 @@
     Timeouts never count as disagreement; an instance where every
     engine times out is reported as such and carries no certificate. *)
 
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 
 type failure =
   | Disagree
       (** at least one engine answered [Sat] and another [Unsat] *)
-  | Witness_rejected of Engines.engine * string
+  | Witness_rejected of Engine.id * string
       (** the engine's model failed simulator replay *)
   | Unsat_refuted of int list list
       (** all engines said [Unsat], yet simulating the carried input
@@ -37,12 +37,12 @@ type certificate =
   | No_certificate       (** every engine timed out *)
 
 type outcome = {
-  verdicts : (Engines.engine * Engines.verdict) list;
+  verdicts : (Engine.id * Engine.verdict) list;
   failure : failure option;
   cert : certificate;
 }
 
-val default_engines : Engines.engine list
+val default_engines : Engine.id list
 (** All six engines. *)
 
 val violated : Rtlsat_bmc.Bmc.instance -> int list list -> bool
@@ -52,7 +52,7 @@ val violated : Rtlsat_bmc.Bmc.instance -> int list list -> bool
     the certificate search and by tests. *)
 
 val check :
-  ?engines:Engines.engine list ->
+  ?engines:Engine.id list ->
   ?req:Rtlsat_harness.Req.t ->
   ?cert_budget:int ->
   ?seed:int ->
@@ -60,7 +60,7 @@ val check :
   outcome
 (** Decide the case with every engine and cross-check.  [req] (default
     a 10 s-budget request with pre/inprocessing on) is the request
-    context of every engine run ({!Engines.run_instance}) — its
+    context of every engine run ({!Engine.run_instance}) — its
     [timeout] bounds each run, its [simplify]/[inprocess] select
     pre/inprocessing, so the campaign cross-checks the engines
     {e with} simplification unless told otherwise.  [cert_budget]

@@ -23,7 +23,15 @@ let all_ids = [ Hdpll; Hdpll_s; Hdpll_sp; Hdpll_p; Bitblast; Lazy_cdp ]
 let of_name s =
   List.find_opt (fun id -> String.equal (name_of id) s) all_ids
 
+let table2_engines = [ Hdpll; Hdpll_s; Hdpll_sp; Bitblast; Lazy_cdp ]
+
 type verdict = Sat | Unsat | Timeout | Abort of string
+
+let verdict_string = function
+  | Sat -> "sat"
+  | Unsat -> "unsat"
+  | Timeout -> "timeout"
+  | Abort _ -> "abort"
 
 let verdict_symbol = function
   | Sat -> "S"
@@ -501,3 +509,56 @@ let of_id : id -> (module S) = function
   | Lazy_cdp -> (module Lazy_cdp_e)
 
 let all = List.map of_id all_ids
+
+(* ---- drivers over [of_id] ---- *)
+
+let run_instance ?(req = Req.default) id inst =
+  let (module M : S) = of_id id in
+  M.solve ~req (M.create ~req inst)
+
+(* Per-bound sweep telemetry: point the heartbeat context at the
+   current bound and bracket the solve with sweep.bound/sweep.result
+   trace events, so a live monitor can tell which bound a long sweep
+   is stuck on. *)
+let sweep_with_obs obs ~total ~index ~bound f =
+  if obs.Obs.enabled then begin
+    Obs.set_context obs
+      [
+        ("bound", Json.Int bound);
+        ("bound_index", Json.Int index);
+        ("bounds_total", Json.Int total);
+      ];
+    if Obs.tracing obs then
+      Obs.event obs "sweep.bound"
+        [
+          ("bound", Json.Int bound);
+          ("index", Json.Int index);
+          ("total", Json.Int total);
+        ]
+  end;
+  let step = f () in
+  if obs.Obs.enabled then begin
+    if Obs.tracing obs then
+      Obs.event obs "sweep.result"
+        [
+          ("bound", Json.Int bound);
+          ("verdict", Json.Str (verdict_string step.sw_run.verdict));
+          ("time_s", Json.Float step.sw_run.time);
+          ("carried_clauses", Json.Int step.sw_carried_clauses);
+        ];
+    if index = total - 1 then Obs.set_context obs []
+  end;
+  step
+
+let run_sweep ?(req = Req.default) ?semantics id source ~prop ~bounds =
+  let (module M : S) = of_id id in
+  let sess = M.session ~req ?semantics source ~prop in
+  let nbounds = List.length bounds in
+  List.mapi
+    (fun index bound ->
+       sweep_with_obs req.Req.obs ~total:nbounds ~index ~bound @@ fun () ->
+       M.sweep_step ~req sess ~bound)
+    bounds
+
+let op_counts (inst : Bmc.instance) =
+  Rtlsat_rtl.Structure.op_counts (Unroll.combo inst.Bmc.unrolled)

@@ -30,6 +30,9 @@ val of_name : string -> id option
 val all_ids : id list
 (** All six engines, in Table 2 column order then the ±P variant. *)
 
+val table2_engines : id list
+(** The five columns of Table 2, in order. *)
+
 type verdict =
   | Sat
   | Unsat
@@ -39,6 +42,10 @@ type verdict =
 
 val verdict_symbol : verdict -> string
 (** ["S"], ["U"], ["-to-"], ["-A-"] as in the paper's tables. *)
+
+val verdict_string : verdict -> string
+(** ["sat"], ["unsat"], ["timeout"], ["abort"], as in every JSON
+    report. *)
 
 type run = {
   verdict : verdict;
@@ -58,8 +65,13 @@ type sweep_step = {
   sw_bound : int;
   sw_run : run;
   sw_carried_clauses : int;
-      (** learned clauses carried into this bound's call — see the
-          per-engine semantics on {!Engines.sweep_step} *)
+      (** learned clauses already in the solver when this bound's call
+          began.  Per-engine semantics: HDPLL engines report the
+          session kernel's learned-clause database size at call entry;
+          the bit-blast baseline reports the CDCL kernel's total
+          conflict-learned lemmas so far ({!Rtlsat_sat.Cdcl.n_learned}
+          — derivation count, monotone across inprocessing rebuilds);
+          the lazy CDP re-solves from scratch and always reports 0 *)
   sw_carried_relations : int;
       (** predicate relations carried from earlier bounds (HDPLL+P) *)
 }
@@ -148,3 +160,58 @@ end
 val of_id : id -> (module S)
 val all : (module S) list
 (** One module per engine, in {!all_ids} order. *)
+
+(** {1 Drivers}
+
+    Every satisfiable answer is validated by replaying the witness
+    through the RTL simulator ({!Rtlsat_bmc.Bmc.witness_ok}); a
+    witness that does not replay becomes [Abort]. *)
+
+val run_instance : ?req:Req.t -> id -> Rtlsat_bmc.Bmc.instance -> run
+(** [create] + [solve] of the engine's module under the request
+    context [req] (default {!Req.default}: 1200 s budget — the paper's
+    limit — observability disabled, simplify and split on).
+    [req.obs] instruments the whole run — encoding included — and
+    fills [run.metrics]; pass a fresh handle per run for per-run
+    snapshots.  The remaining knobs are documented on {!Req.t} and
+    {!caps}: [dump_graph], [split] and [on_learn] only reach the
+    HDPLL engines, [simplify]/[inprocess] select each engine's
+    pre/inprocessing pipeline (the lazy CDP ignores them), and
+    [cancel] makes the engine return [Timeout] at its next step
+    gate. *)
+
+val run_sweep :
+  ?req:Req.t ->
+  ?semantics:Rtlsat_bmc.Bmc.semantics ->
+  id ->
+  Rtlsat_rtl.Ir.circuit ->
+  prop:Rtlsat_rtl.Ir.node ->
+  bounds:int list ->
+  sweep_step list
+(** Sweep a list of bounds through {e one} [session] of the engine:
+    the unroll grows frame-incrementally, each bound's violation
+    selector is posed as an assumption where
+    [caps.supports_assumptions], and learned clauses, predicate
+    relations and heuristic state survive from bound to bound where
+    [caps.supports_sessions] (the lazy CDP re-solves each bound from
+    scratch with zero carried counters).  [req.timeout] is a
+    per-bound budget.  The bit-blast baseline keeps variable
+    elimination off here: the encoding grows and literals are assumed
+    per bound, which elimination does not survive. *)
+
+val sweep_with_obs :
+  Rtlsat_obs.Obs.t ->
+  total:int ->
+  index:int ->
+  bound:int ->
+  (unit -> sweep_step) ->
+  sweep_step
+(** Per-bound sweep telemetry wrapper: points the heartbeat context at
+    the current bound and brackets the step with [sweep.bound] /
+    [sweep.result] trace events, so a live monitor can tell which
+    bound a long sweep is stuck on.  Used by {!run_sweep} and the
+    parallel bound-partitioned sweep driver. *)
+
+val op_counts : Rtlsat_bmc.Bmc.instance -> int * int
+(** (arith, bool) operator counts of the unrolled instance —
+    columns 3–4 of Table 2. *)

@@ -2,12 +2,6 @@ module Json = Rtlsat_obs.Json
 module Obs = Rtlsat_obs.Obs
 module Solver = Rtlsat_core.Solver
 
-let verdict_string = function
-  | Engines.Sat -> "sat"
-  | Engines.Unsat -> "unsat"
-  | Engines.Timeout -> "timeout"
-  | Engines.Abort _ -> "abort"
-
 let stats_json (st : Solver.stats) =
   Json.Obj
     [
@@ -23,278 +17,114 @@ let stats_json (st : Solver.stats) =
       ("solve_time_s", Json.Float st.Solver.solve_time);
     ]
 
-let run_json_named name (r : Engines.run) =
+(* a run's own fields; [solve_json] and [row_json] wrap them *)
+let run_fields ?(extra = []) (r : Engine.run) =
   let base =
     [
-      ("engine", Json.Str name);
-      ("verdict", Json.Str (verdict_string r.Engines.verdict));
-      ("time_s", Json.Float r.Engines.time);
-      ("decisions", Json.Int r.Engines.decisions);
-      ("conflicts", Json.Int r.Engines.conflicts);
-      ("relations", Json.Int r.Engines.relations);
-      ("learn_time_s", Json.Float r.Engines.learn_time);
+      ("verdict", Json.Str (Engine.verdict_string r.Engine.verdict));
+      ("time_s", Json.Float r.Engine.time);
+      ("decisions", Json.Int r.Engine.decisions);
+      ("conflicts", Json.Int r.Engine.conflicts);
+      ("relations", Json.Int r.Engine.relations);
+      ("learn_time_s", Json.Float r.Engine.learn_time);
     ]
   in
   let abort =
-    match r.Engines.verdict with
-    | Engines.Abort msg -> [ ("abort_reason", Json.Str msg) ]
+    match r.Engine.verdict with
+    | Engine.Abort msg -> [ ("abort_reason", Json.Str msg) ]
     | _ -> []
   in
   let stats =
-    match r.Engines.stats with
+    match r.Engine.stats with
     | Some st -> [ ("stats", stats_json st) ]
     | None -> []
   in
   let metrics =
-    match r.Engines.metrics with
+    match r.Engine.metrics with
     | Some m -> [ ("metrics", Obs.snapshot_json m) ]
     | None -> []
   in
-  Json.Obj (base @ abort @ stats @ metrics)
-
-let run_json engine r = run_json_named (Engines.engine_name engine) r
+  base @ abort @ extra @ stats @ metrics
 
 let solve_json ~instance ~bound engine r =
-  match run_json engine r with
-  | Json.Obj fields ->
-    Json.Obj
-      (("schema", Json.Str "rtlsat.solve/1")
-       :: ("instance", Json.Str instance)
-       :: ("bound", Json.Int bound)
-       :: ("env", Rtlsat_obs.Env.fingerprint_json ())
-       :: fields)
-  | v -> v
+  Json.Obj
+    (("schema", Json.Str "rtlsat.solve/1")
+     :: ("instance", Json.Str instance)
+     :: ("bound", Json.Int bound)
+     :: ("env", Rtlsat_obs.Env.fingerprint_json ())
+     :: ("engine", Json.Str (Engine.name_of engine))
+     :: run_fields r)
 
-let t1_row_json (row : Tables.t1_row) =
+let bench_schema = "rtlsat.bench/2"
+
+let row_json (r : Tables.row) =
+  Json.Obj
+    (("section", Json.Str r.Tables.section)
+     :: ("instance", Json.Str r.Tables.instance)
+     :: ("arm", Json.Str r.Tables.arm)
+     :: run_fields ~extra:r.Tables.extra r.Tables.run)
+
+let bench_json ~scale rows =
+  let tm = Unix.localtime (Unix.gettimeofday ()) in
+  let generated_at =
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" (tm.Unix.tm_year + 1900)
+      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+      tm.Unix.tm_sec
+  in
   Json.Obj
     [
-      ("instance", Json.Str row.Tables.t1_label);
-      ("verdict", Json.Str (verdict_string row.Tables.t1_type));
-      ("relations", Json.Int row.Tables.t1_relations);
-      ("learn_time_s", Json.Float row.Tables.t1_learn_time);
-      ( "runs",
-        Json.Arr
-          [
-            run_json Engines.Hdpll row.Tables.t1_hdpll;
-            run_json Engines.Hdpll_p row.Tables.t1_hdpll_p;
-          ] );
-    ]
-
-let t2_row_json (row : Tables.t2_row) =
-  Json.Obj
-    [
-      ("instance", Json.Str row.Tables.t2_label);
-      ("verdict", Json.Str (verdict_string row.Tables.t2_type));
-      ("arith_ops", Json.Int row.Tables.t2_arith);
-      ("bool_ops", Json.Int row.Tables.t2_bool);
-      ( "runs",
-        Json.Arr (List.map (fun (e, r) -> run_json e r) row.Tables.t2_runs) );
-    ]
-
-let table1_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.table1/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map t1_row_json rows));
-    ]
-
-let table2_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.table2/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map t2_row_json rows));
-    ]
-
-(* bmc_sweep rows: one JSON row per bound, with the incremental and
-   from-scratch runs side by side under "engine/incr" / "engine/scratch"
-   labels so [bench_rows] diffs them as distinct engines *)
-let sweep_row_json (row : Tables.sweep_row) =
-  let name suffix = Engines.engine_name row.Tables.sr_engine ^ suffix in
-  List.map
-    (fun ((step : Engines.sweep_step), scratch) ->
-       let incr_json =
-         match run_json_named (name "/incr") step.Engines.sw_run with
-         | Json.Obj fields ->
-           Json.Obj
-             (fields
-              @ [
-                  ("carried_clauses", Json.Int step.Engines.sw_carried_clauses);
-                  ( "carried_relations",
-                    Json.Int step.Engines.sw_carried_relations );
-                ])
-         | v -> v
-       in
-       Json.Obj
-         [
-           ( "instance",
-             Json.Str
-               (Printf.sprintf "%s(%d)" row.Tables.sr_label
-                  step.Engines.sw_bound) );
-           ("bound", Json.Int step.Engines.sw_bound);
-           ( "runs",
-             Json.Arr [ incr_json; run_json_named (name "/scratch") scratch ] );
-         ])
-    row.Tables.sr_steps
-
-let bmc_sweep_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bmc_sweep/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.concat_map sweep_row_json rows));
-    ]
-
-(* simplify rows: one JSON row per (instance, engine), with the
-   simplify-on and simplify-off runs side by side under "engine/simp"
-   / "engine/nosimp" labels so [bench_rows] diffs them as distinct
-   engines — a verdict flip between the arms then shows up as a
-   verdict change on one of them across baselines *)
-let simp_row_json (row : Tables.simp_row) =
-  let name suffix = Engines.engine_name row.Tables.sy_engine ^ suffix in
-  Json.Obj
-    [
-      ("instance", Json.Str row.Tables.sy_label);
-      ( "runs",
-        Json.Arr
-          [
-            run_json_named (name "/simp") row.Tables.sy_on;
-            run_json_named (name "/nosimp") row.Tables.sy_off;
-          ] );
-    ]
-
-let simplify_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.simplify/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map simp_row_json rows));
-    ]
-
-let bench_json ~generated_at ~scale ~sections =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bench/1");
+      ("schema", Json.Str bench_schema);
       ("generated_at", Json.Str generated_at);
       ("scale", Json.Str scale);
       ("env", Rtlsat_obs.Env.fingerprint_json ());
-      ("sections", Json.Obj sections);
+      ("rows", Json.Arr (List.map row_json rows));
     ]
 
-(* ---- bench-diff: per-instance comparison of two rtlsat.bench/1
+(* ---- bench-diff: per-cell comparison of two rtlsat.bench/2
    artifacts (the [rtlsat bench-diff] subcommand) ---- *)
 
 type bench_row = {
   br_section : string;
   br_instance : string;
-  br_engine : string;
+  br_arm : string;
   br_verdict : string;
   br_time : float;
 }
 
-(* parallel rows: the requested engine solved sequentially vs raced
-   as a -j N portfolio, side by side under "engine/j1" /
-   "portfolio/jN" labels so [bench_rows] diffs both configurations;
-   speedup = sequential wall / portfolio wall *)
-type parallel_row = {
-  pl_instance : string;
-  pl_engine : Engines.engine;
-  pl_j : int;
-  pl_seq : Engines.run;
-  pl_par : Engines.run;
-  pl_winner : string option;
-  pl_lineup : string list;
-}
-
-let parallel_row_json row =
-  let speedup =
-    if row.pl_par.Engines.time > 0.0 then
-      row.pl_seq.Engines.time /. row.pl_par.Engines.time
-    else 0.0
-  in
-  Json.Obj
-    [
-      ("instance", Json.Str row.pl_instance);
-      ("j", Json.Int row.pl_j);
-      ( "winner",
-        match row.pl_winner with Some w -> Json.Str w | None -> Json.Null );
-      ("lineup", Json.Arr (List.map (fun e -> Json.Str e) row.pl_lineup));
-      ("speedup", Json.Float speedup);
-      ( "runs",
-        Json.Arr
-          [
-            run_json_named
-              (Engines.engine_name row.pl_engine ^ "/j1")
-              row.pl_seq;
-            run_json_named
-              (Printf.sprintf "portfolio/j%d" row.pl_j)
-              row.pl_par;
-          ] );
-    ]
-
-let parallel_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.parallel/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map parallel_row_json rows));
-    ]
-
 let bench_rows j =
-  let member name j = Json.member name j in
-  let str name j = Option.bind (member name j) Json.get_string in
+  let str name j = Option.bind (Json.member name j) Json.get_string in
   let schema = str "schema" j in
-  if schema <> Some "rtlsat.bench/1" then
+  if schema <> Some bench_schema then
     invalid_arg
-      (Printf.sprintf "bench_rows: expected schema rtlsat.bench/1, got %s"
-         (match schema with Some s -> s | None -> "<none>"));
-  let rows = ref [] in
-  (match Option.bind (member "sections" j) Json.get_obj with
-   | None -> ()
-   | Some sections ->
-     List.iter
-       (fun (section, payload) ->
-          match Option.bind (member "rows" payload) Json.get_list with
-          | None -> ()
-          | Some table_rows ->
-            List.iter
-              (fun row ->
-                 match str "instance" row with
-                 | None -> ()
-                 | Some instance ->
-                   (match Option.bind (member "runs" row) Json.get_list with
-                    | None -> ()
-                    | Some runs ->
-                      List.iter
-                        (fun run ->
-                           match
-                             ( str "engine" run,
-                               str "verdict" run,
-                               Option.bind (member "time_s" run) Json.get_float )
-                           with
-                           | Some engine, Some verdict, Some time ->
-                             rows :=
-                               {
-                                 br_section = section;
-                                 br_instance = instance;
-                                 br_engine = engine;
-                                 br_verdict = verdict;
-                                 br_time = time;
-                               }
-                               :: !rows
-                           | _ -> ())
-                        runs))
-              table_rows)
-       sections);
-  List.rev !rows
+      (Printf.sprintf "expected schema %s, got %s" bench_schema
+         (Option.value schema ~default:"<none>"));
+  let rows =
+    match Option.bind (Json.member "rows" j) Json.get_list with
+    | Some rows -> rows
+    | None -> invalid_arg (bench_schema ^ " artifact without a rows array")
+  in
+  List.mapi
+    (fun i row ->
+       let field name get =
+         match Option.bind (Json.member name row) get with
+         | Some v -> v
+         | None -> invalid_arg (Printf.sprintf "row %d: missing %S" i name)
+       in
+       {
+         br_section = field "section" Json.get_string;
+         br_instance = field "instance" Json.get_string;
+         br_arm = field "arm" Json.get_string;
+         br_verdict = field "verdict" Json.get_string;
+         br_time = field "time_s" Json.get_float;
+       })
+    rows
 
 type diff_status = Regression | Improvement | Unchanged
 
 type diff_entry = {
   de_section : string;
   de_instance : string;
-  de_engine : string;
+  de_arm : string;
   de_old_verdict : string;
   de_new_verdict : string;
   de_old_time : float;
@@ -313,7 +143,7 @@ type bench_diff = {
 let solved = function "sat" | "unsat" -> true | _ -> false
 
 let diff_rows ?(threshold = 0.20) ?(min_time = 0.05) old_rows new_rows =
-  let key r = (r.br_section, r.br_instance, r.br_engine) in
+  let key r = (r.br_section, r.br_instance, r.br_arm) in
   let old_tbl = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace old_tbl (key r) r) old_rows;
   let matched = Hashtbl.create 64 in
@@ -365,7 +195,7 @@ let diff_rows ?(threshold = 0.20) ?(min_time = 0.05) old_rows new_rows =
              {
                de_section = n.br_section;
                de_instance = n.br_instance;
-               de_engine = n.br_engine;
+               de_arm = n.br_arm;
                de_old_verdict = o.br_verdict;
                de_new_verdict = n.br_verdict;
                de_old_time = o.br_time;
@@ -407,7 +237,7 @@ let print_bench_diff fmt d =
       List.iter
         (fun e ->
            Format.fprintf fmt "  %a  %s@." pp_key
-             (e.de_section, e.de_instance, e.de_engine)
+             (e.de_section, e.de_instance, e.de_arm)
              e.de_note)
         entries
     end

@@ -1,85 +1,36 @@
-(** The one JSON schema for every machine-readable result this repo
+(** The JSON serializers of every machine-readable result this repo
     emits — [rtlsat solve --stats-json], [rtlsat table1/table2 --json]
     and the bench harness's [BENCH_<timestamp>.json] perf-trajectory
-    artifact all go through these serializers.  The schema is
+    artifact all go through them.  The schema is
     documented in docs/OBSERVABILITY.md; bump the ["schema"] tags when
     changing shapes. *)
 
 module Json = Rtlsat_obs.Json
-
-val verdict_string : Engines.verdict -> string
-(** ["sat"], ["unsat"], ["timeout"], ["abort"]. *)
 
 val stats_json : Rtlsat_core.Solver.stats -> Json.t
 (** Every §5 counter: decisions, conflicts, propagations, learned,
     jconflicts, final_checks, splits, relations, learn_time_s,
     solve_time_s. *)
 
-val run_json_named : string -> Engines.run -> Json.t
-(** Like {!run_json} with an explicit engine label — e.g.
-    ["hdpll+s+p/incr"] vs ["hdpll+s+p/scratch"] in bmc_sweep rows. *)
-
-val run_json : Engines.engine -> Engines.run -> Json.t
-(** One engine run: engine, verdict, time_s, plus [stats]/[metrics]
-    objects when present. *)
-
-val solve_json : instance:string -> bound:int -> Engines.engine -> Engines.run -> Json.t
+val solve_json : instance:string -> bound:int -> Engine.id -> Engine.run -> Json.t
 (** Top-level object of [rtlsat solve --stats-json]
-    (schema ["rtlsat.solve/1"]); carries the {!Rtlsat_obs.Env}
-    fingerprint under ["env"]. *)
+    (schema ["rtlsat.solve/1"]): the engine, verdict, time_s,
+    decisions, conflicts, relations, learn_time_s, plus
+    [abort_reason]/[stats]/[metrics] when present; carries the
+    {!Rtlsat_obs.Env} fingerprint under ["env"]. *)
 
-val t1_row_json : Tables.t1_row -> Json.t
-val t2_row_json : Tables.t2_row -> Json.t
+val bench_schema : string
+(** ["rtlsat.bench/2"]. *)
 
-val table1_json : scale:string -> Tables.t1_row list -> Json.t
-(** Schema ["rtlsat.table1/1"]. *)
+val row_json : Tables.row -> Json.t
+(** One bench cell: [section], [instance], [arm], the run's fields as
+    in {!solve_json} (without [engine]) and the row's extras. *)
 
-val table2_json : scale:string -> Tables.t2_row list -> Json.t
-(** Schema ["rtlsat.table2/1"]. *)
-
-val sweep_row_json : Tables.sweep_row -> Json.t list
-(** One JSON row per bound; each row's ["runs"] pairs the incremental
-    session run (["<engine>/incr"], with carried-clause / relation
-    counters) with its from-scratch twin (["<engine>/scratch"]). *)
-
-val bmc_sweep_json : scale:string -> Tables.sweep_row list -> Json.t
-(** The ["rtlsat.bmc_sweep/1"] section — shaped so {!bench_rows} picks
-    the per-bound runs up for {!bench_diff}. *)
-
-val simplify_json : scale:string -> Tables.simp_row list -> Json.t
-(** The ["rtlsat.simplify/1"] section: one row per (instance, engine),
-    its ["runs"] pairing the simplify-on arm (["<engine>/simp"]) with
-    the simplify-off arm (["<engine>/nosimp"]) so {!bench_diff} flags
-    a verdict flip or slowdown on either configuration. *)
-
-(** One parallel-portfolio comparison: the requested engine solved
-    sequentially ([pl_seq], labelled ["<engine>/j1"]) vs raced as a
-    [-j pl_j] portfolio ([pl_par], labelled ["portfolio/j<N>"] — wall
-    clock of the whole race, winner's verdict). *)
-type parallel_row = {
-  pl_instance : string;
-  pl_engine : Engines.engine;  (** the requested (sequential) engine *)
-  pl_j : int;
-  pl_seq : Engines.run;
-  pl_par : Engines.run;
-  pl_winner : string option;   (** winning engine's name, if any *)
-  pl_lineup : string list;     (** engine names raced *)
-}
-
-val parallel_json : scale:string -> parallel_row list -> Json.t
-(** The ["rtlsat.parallel/1"] section: per row, both configurations
-    under ["runs"] (so {!bench_rows} flags a verdict flip or slowdown
-    on either) plus ["winner"], ["lineup"] and ["speedup"] =
-    sequential wall / portfolio wall. *)
-
-val bench_json :
-  generated_at:string ->
-  scale:string ->
-  sections:(string * Json.t) list ->
-  Json.t
-(** The perf-trajectory artifact (schema ["rtlsat.bench/1"]):
-    [sections] maps section names (["table1"], ["table2"], …) to
-    their [table*_json] payloads.  Carries the {!Rtlsat_obs.Env}
+val bench_json : scale:string -> Tables.row list -> Json.t
+(** The bench artifact (schema {!bench_schema}): [{schema,
+    generated_at, scale, env, rows}], one {!row_json} per row;
+    [generated_at] is the current local time
+    (["YYYY-MM-DDTHH:MM:SS"]).  Carries the {!Rtlsat_obs.Env}
     fingerprint under ["env"], so every committed baseline is
     self-describing. *)
 
@@ -88,22 +39,23 @@ val bench_json :
 type bench_row = {
   br_section : string;   (** e.g. ["table2"] *)
   br_instance : string;
-  br_engine : string;
+  br_arm : string;
   br_verdict : string;
   br_time : float;
 }
 
 val bench_rows : Json.t -> bench_row list
-(** Flatten a parsed [rtlsat.bench/1] artifact into one row per
-    (section, instance, engine).  @raise Invalid_argument on a wrong
-    or missing schema tag. *)
+(** The [rows] of a parsed {!bench_schema} artifact, in order.
+    @raise Invalid_argument on a wrong or missing schema tag (the
+    message names {!bench_schema}), a missing [rows] array, or a row
+    without [section], [instance], [arm], [verdict] or [time_s]. *)
 
 type diff_status = Regression | Improvement | Unchanged
 
 type diff_entry = {
   de_section : string;
   de_instance : string;
-  de_engine : string;
+  de_arm : string;
   de_old_verdict : string;
   de_new_verdict : string;
   de_old_time : float;
@@ -126,7 +78,7 @@ val diff_rows :
   bench_row list ->
   bench_row list ->
   bench_diff
-(** Compare old vs new rows keyed by (section, instance, engine).
+(** Compare old vs new rows keyed by (section, instance, arm).
     A matched pair regresses when the verdict degrades (solved →
     timeout/abort, or a sat/unsat flip) or when, at equal verdicts,
     [new_time > max (old_time * (1 + threshold)) (old_time +
@@ -143,7 +95,7 @@ val print_bench_diff : Format.formatter -> bench_diff -> unit
 (* ---- bench-history ---- *)
 
 (** One (artifact, section) aggregate in a perf trajectory: how many
-    (instance, engine) runs the section carried and how they went. *)
+    (instance, arm) runs the section carried and how they went. *)
 type history_point = {
   hp_label : string;         (** artifact label, e.g. the file basename *)
   hp_generated_at : string;  (** empty when the artifact carries none *)
@@ -156,7 +108,7 @@ type history_point = {
 }
 
 val bench_history : (string * Json.t) list -> history_point list
-(** Aggregate labelled [rtlsat.bench/1] artifacts (oldest first) into
+(** Aggregate labelled {!bench_schema} artifacts (oldest first) into
     one point per (artifact, section), preserving artifact order so
     each section reads as a time series.  @raise Invalid_argument when
     an artifact has a wrong or missing schema tag. *)

@@ -21,10 +21,17 @@ type t = {
   ledger : string option;
   default_engine : Engine.id;
   mutable served : int;
+  mutable errors : int;
 }
 
 let create ?ledger ?(engine = Engine.Hdpll_sp) () =
-  { pool = Hashtbl.create 8; ledger; default_engine = engine; served = 0 }
+  {
+    pool = Hashtbl.create 8;
+    ledger;
+    default_engine = engine;
+    served = 0;
+    errors = 0;
+  }
 
 (* ---- request plumbing ---- *)
 
@@ -35,6 +42,33 @@ let float_field name j = Option.bind (Json.member name j) Json.get_float
 let require name = function
   | Some v -> v
   | None -> failwith (Printf.sprintf "missing field %S" name)
+
+(* every field a request may carry; anything else — e.g. "timeout"
+   for "timeout_s" — is a client bug worth an error, not a default *)
+let known_fields =
+  [ "id"; "op"; "circuit"; "prop"; "engine"; "timeout_s"; "bound"; "bounds" ]
+
+let check_fields request =
+  match Json.get_obj request with
+  | None -> failwith "request is not a JSON object"
+  | Some fields ->
+    List.iter
+      (fun (name, _) ->
+         if not (List.mem name known_fields) then
+           failwith (Printf.sprintf "unknown field %S" name))
+      fields
+
+let positive_bound b =
+  if b < 1 then failwith (Printf.sprintf "bound must be >= 1, got %d" b);
+  b
+
+(* the request's budget; validated, like the bounds, before any pool
+   session exists *)
+let request_req request =
+  match float_field "timeout_s" request with
+  | Some t when not (t > 0.0) ->
+    failwith (Printf.sprintf "timeout_s must be > 0, got %g" t)
+  | t -> Req.make ~timeout:(Option.value t ~default:1200.0) ~tag:"serve" ()
 
 let ok ~id fields =
   Json.Obj
@@ -78,7 +112,7 @@ let step_fields (step : Engine.sweep_step) =
   let r = step.Engine.sw_run in
   [
     ("bound", Json.Int step.Engine.sw_bound);
-    ("verdict", Json.Str (Report.verdict_string r.Engine.verdict));
+    ("verdict", Json.Str (Engine.verdict_string r.Engine.verdict));
     ("time_s", Json.Float r.Engine.time);
     ("decisions", Json.Int r.Engine.decisions);
     ("conflicts", Json.Int r.Engine.conflicts);
@@ -125,10 +159,9 @@ let parse_engine t request =
 let do_solve t ~id request =
   let circuit = require "circuit" (str_field "circuit" request) in
   let prop = require "prop" (str_field "prop" request) in
-  let bound = require "bound" (int_field "bound" request) in
+  let bound = positive_bound (require "bound" (int_field "bound" request)) in
   let engine = parse_engine t request in
-  let timeout = Option.value (float_field "timeout_s" request) ~default:1200.0 in
-  let req = Req.make ~timeout ~tag:"serve" () in
+  let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
   let step, key, solves =
     match entry with
@@ -142,7 +175,7 @@ let do_solve t ~id request =
   ledger_append t
     ~instance:(Registry.instance_name ~circuit ~prop ~bound)
     ~engine ~req ~warm
-    ~verdict:(Report.verdict_string r.Engine.verdict)
+    ~verdict:(Engine.verdict_string r.Engine.verdict)
     ~wall_s:r.Engine.time
     ~counters:
       [
@@ -162,12 +195,11 @@ let do_sweep t ~id request =
   let bounds =
     match Option.bind (Json.member "bounds" request) Json.get_list with
     | Some l ->
-      List.map (fun b -> require "bounds" (Json.get_int b)) l
+      List.map (fun b -> positive_bound (require "bounds" (Json.get_int b))) l
     | None -> failwith "missing field \"bounds\""
   in
   let engine = parse_engine t request in
-  let timeout = Option.value (float_field "timeout_s" request) ~default:1200.0 in
-  let req = Req.make ~timeout ~tag:"serve" () in
+  let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
   let steps, key, solves =
     match entry with
@@ -188,12 +220,12 @@ let do_sweep t ~id request =
       List.find_opt (fun s -> s.Engine.sw_run.Engine.verdict = Engine.Sat)
         steps
     with
-    | Some s -> Report.verdict_string s.Engine.sw_run.Engine.verdict
+    | Some s -> Engine.verdict_string s.Engine.sw_run.Engine.verdict
     | None ->
       (match steps with
        | [] -> "unsat"
        | s :: _ ->
-         Report.verdict_string
+         Engine.verdict_string
            (List.fold_left
               (fun acc st ->
                  match st.Engine.sw_run.Engine.verdict with
@@ -235,40 +267,44 @@ let do_stats t ~id =
     [
       ("op", Json.Str "stats");
       ("served", Json.Int t.served);
+      ("errors", Json.Int t.errors);
       ("sessions", Json.Arr sessions);
     ]
 
-let handle t request =
-  let id = Option.value (Json.member "id" request) ~default:Json.Null in
+(* one request; bad requests raise Failure / Invalid_argument *)
+let dispatch t ~id request =
+  check_fields request;
   match str_field "op" request with
-  | None -> (err ~id "missing field \"op\"", true)
+  | None -> failwith "missing field \"op\""
   | Some "ping" -> (ok ~id [ ("op", Json.Str "ping") ], true)
   | Some "stats" -> (do_stats t ~id, true)
   | Some "shutdown" ->
     (ok ~id [ ("op", Json.Str "shutdown"); ("served", Json.Int t.served) ],
      false)
   | Some (("solve" | "sweep") as op) ->
-    let resp =
-      try
-        let r = if op = "solve" then do_solve t ~id request
-          else do_sweep t ~id request
-        in
-        t.served <- t.served + 1;
-        r
-      with
-      | Failure msg -> err ~id msg
-      | Invalid_argument msg -> err ~id msg
-      | Not_found -> err ~id "not found"
+    let r =
+      if op = "solve" then do_solve t ~id request else do_sweep t ~id request
     in
-    (resp, true)
-  | Some op -> (err ~id (Printf.sprintf "unknown op %S" op), true)
+    t.served <- t.served + 1;
+    (r, true)
+  | Some op -> failwith (Printf.sprintf "unknown op %S" op)
+
+let error t ~id msg =
+  t.errors <- t.errors + 1;
+  (err ~id msg, true)
+
+let handle t request =
+  let id = Option.value (Json.member "id" request) ~default:Json.Null in
+  try dispatch t ~id request with
+  | Failure msg | Invalid_argument msg -> error t ~id msg
+  | Not_found -> error t ~id "not found"
 
 let handle_line t line =
   let resp, keep =
     match Json.of_string line with
     | request -> handle t request
     | exception Json.Parse_error msg ->
-      (err ~id:Json.Null ("parse error: " ^ msg), true)
+      error t ~id:Json.Null ("parse error: " ^ msg)
   in
   (Json.to_string resp, keep)
 

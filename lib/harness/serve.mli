@@ -15,9 +15,14 @@
     engine knobs for the session's lifetime.
 
     Operations: [solve] (one bound), [sweep] (a bound list), [ping],
-    [stats] (the session pool), [shutdown].  Malformed or failing
-    requests produce [{"ok": false, "error": ...}] responses and keep
-    the loop alive; only [shutdown] or end-of-input ends it. *)
+    [stats] (the session pool and the served/error counts),
+    [shutdown].  Malformed or failing requests produce
+    [{"ok": false, "error": ...}] responses and keep the loop alive;
+    only [shutdown] or end-of-input ends it.  A request may carry only
+    [id], [op], [circuit], [prop], [engine], [timeout_s], [bound] and
+    [bounds]; any other field is an error.  Bounds must be >= 1 and
+    [timeout_s] > 0, checked before the pool is touched, so a rejected
+    request leaves no session behind. *)
 
 val schema : string
 (** ["rtlsat.serve/1"] — stamped on every response. *)

@@ -1,9 +1,20 @@
 module Registry = Rtlsat_itc99.Registry
 module Obs = Rtlsat_obs.Obs
+module Json = Rtlsat_obs.Json
 
 type scale = [ `Scaled | `Full ]
 
 let scale_name = function `Scaled -> "scaled" | `Full -> "full"
+
+type row = {
+  section : string;
+  instance : string;
+  arm : string;
+  run : Engine.run;
+  extra : (string * Json.t) list;
+}
+
+type family = string * (?timeout:float -> ?metrics:bool -> scale -> row list)
 
 (* fresh per-run obs handle when metrics collection is requested *)
 let run_obs metrics = if metrics then Obs.create () else Obs.disabled
@@ -12,6 +23,11 @@ let run_obs metrics = if metrics then Obs.create () else Obs.disabled
    snapshots stay per-run *)
 let run_req ?learn_threshold ?(simplify = true) ~timeout metrics =
   Req.make ~timeout ?learn_threshold ~simplify ~obs:(run_obs metrics) ()
+
+let default_timeout = function `Full -> 1200.0 | `Scaled -> 20.0
+
+let row section instance ?(extra = []) arm run =
+  { section; instance; arm; run; extra }
 
 (* ---- Table 1 (§3.1): predicate learning analysis ---- *)
 
@@ -39,61 +55,25 @@ let table1_instances = function
       ("b13", "5", 30); ("b13", "1", 30);
     ]
 
-type t1_row = {
-  t1_label : string;
-  t1_type : Engines.verdict;
-  t1_relations : int;
-  t1_learn_time : float;
-  t1_hdpll : Engines.run;
-  t1_hdpll_p : Engines.run;
-}
-
-let default_timeout = function `Full -> 1200.0 | `Scaled -> 20.0
-
 (* the paper's Table 1 threshold: 2500 learned relations *)
 let t1_threshold = 2500
 
 let run_table1 ?timeout ?(metrics = false) scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
-  List.map
+  let timeout = Option.value timeout ~default:(default_timeout scale) in
+  List.concat_map
     (fun (circuit, prop, bound) ->
        let mk () = Registry.instance ~circuit ~prop ~bound in
-       let base =
-         Engines.run_instance ~req:(run_req ~timeout metrics) Engines.Hdpll
-           (mk ())
-       in
-       let learned =
-         Engines.run_instance
-           ~req:(run_req ~learn_threshold:t1_threshold ~timeout metrics)
-           Engines.Hdpll_p (mk ())
-       in
-       {
-         t1_label = Registry.instance_name ~circuit ~prop ~bound;
-         t1_type = learned.Engines.verdict;
-         t1_relations = learned.Engines.relations;
-         t1_learn_time = learned.Engines.learn_time;
-         t1_hdpll = base;
-         t1_hdpll_p = learned;
-       })
+       let row = row "table1" (Registry.instance_name ~circuit ~prop ~bound) in
+       [
+         row "hdpll"
+           (Engine.run_instance ~req:(run_req ~timeout metrics) Engine.Hdpll
+              (mk ()));
+         row "hdpll+p"
+           (Engine.run_instance
+              ~req:(run_req ~learn_threshold:t1_threshold ~timeout metrics)
+              Engine.Hdpll_p (mk ()));
+       ])
     (table1_instances scale)
-
-let pp_time fmt (r : Engines.run) =
-  match r.Engines.verdict with
-  | Engines.Timeout -> Format.fprintf fmt "%8s" "-to-"
-  | Engines.Abort _ -> Format.fprintf fmt "%8s" "-A-"
-  | _ -> Format.fprintf fmt "%8.2f" r.Engines.time
-
-let print_table1 fmt rows =
-  Format.fprintf fmt
-    "Table 1: Run-Time Analysis of Predicate Learning (times in seconds)@.";
-  Format.fprintf fmt "%-14s %-4s %8s %10s %8s %8s@." "Ckt" "Type" "No.Rels"
-    "LearnTime" "HDPLL" "HDPLL+P";
-  List.iter
-    (fun r ->
-       Format.fprintf fmt "%-14s %-4s %8d %10.2f %a %a@." r.t1_label
-         (Engines.verdict_symbol r.t1_type)
-         r.t1_relations r.t1_learn_time pp_time r.t1_hdpll pp_time r.t1_hdpll_p)
-    rows
 
 (* ---- Table 2 (§5): structural decision strategy ---- *)
 
@@ -125,78 +105,31 @@ let table2_instances = function
       ("b13", "8", 50);
     ]
 
-type t2_row = {
-  t2_label : string;
-  t2_type : Engines.verdict;
-  t2_arith : int;
-  t2_bool : int;
-  t2_runs : (Engines.engine * Engines.run) list;
-}
-
-let run_row ?(timeout = 1200.0) ?(metrics = false) ~engines (circuit, prop, bound) =
-  let arith, boolean =
-    Engines.op_counts (Registry.instance ~circuit ~prop ~bound)
+(* one row per engine over an instance, its operator counts (Table 2's
+   columns 3-4) as extras *)
+let run_case ~timeout ~metrics ~section ~engines ~label mk =
+  let arith, boolean = Engine.op_counts (mk ()) in
+  let extra =
+    [ ("arith_ops", Json.Int arith); ("bool_ops", Json.Int boolean) ]
   in
-  let runs =
-    List.map
-      (fun e ->
-         ( e,
-           Engines.run_instance ~req:(run_req ~timeout metrics) e
-             (Registry.instance ~circuit ~prop ~bound) ))
-      engines
-  in
-  let t2_type =
-    (* the reference verdict: first engine that decided *)
-    match
-      List.find_opt
-        (fun (_, r) ->
-           match r.Engines.verdict with
-           | Engines.Sat | Engines.Unsat -> true
-           | _ -> false)
-        runs
-    with
-    | Some (_, r) -> r.Engines.verdict
-    | None -> Engines.Timeout
-  in
-  {
-    t2_label = Registry.instance_name ~circuit ~prop ~bound;
-    t2_type;
-    t2_arith = arith;
-    t2_bool = boolean;
-    t2_runs = runs;
-  }
+  List.map
+    (fun e ->
+       row section label ~extra (Engine.name_of e)
+         (Engine.run_instance ~req:(run_req ~timeout metrics) e (mk ())))
+    engines
 
-let run_table2 ?timeout ?metrics ?(engines = Engines.table2_engines) scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
-  List.map (run_row ~timeout ?metrics ~engines) (table2_instances scale)
+let run_row ?(timeout = 1200.0) ?(metrics = false) ~section ~engines
+    (circuit, prop, bound) =
+  run_case ~timeout ~metrics ~section ~engines
+    ~label:(Registry.instance_name ~circuit ~prop ~bound)
+    (fun () -> Registry.instance ~circuit ~prop ~bound)
 
-let print_table2 fmt rows =
-  Format.fprintf fmt
-    "Table 2: Run-Time Analysis of Structural Decision Strategy (times in seconds)@.";
-  Format.fprintf fmt
-    "(UCLID is substituted by eager bit-blasting, ICS by a lazy CDP; see DESIGN.md)@.";
-  (match rows with
-   | [] -> ()
-   | row :: _ ->
-     Format.fprintf fmt "%-14s %-4s %8s %8s" "Test-case" "Rslt" "ArithOps" "BoolOps";
-     List.iter
-       (fun (e, _) -> Format.fprintf fmt " %9s" (Engines.engine_name e))
-       row.t2_runs;
-     Format.fprintf fmt "@.");
-  List.iter
-    (fun r ->
-       Format.fprintf fmt "%-14s %-4s %8d %8d" r.t2_label
-         (Engines.verdict_symbol r.t2_type)
-         r.t2_arith r.t2_bool;
-       List.iter
-         (fun (_, run) ->
-            match run.Engines.verdict with
-            | Engines.Timeout -> Format.fprintf fmt " %9s" "-to-"
-            | Engines.Abort _ -> Format.fprintf fmt " %9s" "-A-"
-            | _ -> Format.fprintf fmt " %9.2f" run.Engines.time)
-         r.t2_runs;
-       Format.fprintf fmt "@.")
-    rows
+let run_table2 ?timeout ?metrics scale =
+  let timeout = Option.value timeout ~default:(default_timeout scale) in
+  List.concat_map
+    (run_row ~timeout ?metrics ~section:"table2"
+       ~engines:Engine.table2_engines)
+    (table2_instances scale)
 
 (* ---- suite extension: the circuits beyond the paper's subset ---- *)
 
@@ -212,9 +145,12 @@ let extension_instances =
     ("b11", "1", 12); ("b11", "3", 12);
   ]
 
-let run_extension ?(timeout = 20.0) ?metrics
-    ?(engines = [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Bitblast ]) () =
-  List.map (run_row ~timeout ?metrics ~engines) extension_instances
+let run_extension ?(timeout = 20.0) ?metrics _scale =
+  List.concat_map
+    (run_row ~timeout ?metrics ~section:"extension"
+       ~engines:
+         [ Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Bitblast ])
+    extension_instances
 
 (* ---- wide_wrap family: wrap-around arithmetic corners over wide
    words.  One-frame BMC with Final semantics; every case is Sat with
@@ -262,41 +198,14 @@ let wide_wrap_instance (kind, width) =
   N.output c "prop" p;
   Bmc.make c ~prop:p ~bound:1 ~semantics:Bmc.Final ()
 
-let wide_wrap_engines =
-  [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Hdpll_p ]
-
-let run_wide_wrap ?(timeout = 20.0) ?(metrics = false)
-    ?(engines = wide_wrap_engines) () =
-  List.map
+let run_wide_wrap ?(timeout = 20.0) ?(metrics = false) _scale =
+  List.concat_map
     (fun case ->
-       let arith, boolean = Engines.op_counts (wide_wrap_instance case) in
-       let runs =
-         List.map
-           (fun e ->
-              ( e,
-                Engines.run_instance ~req:(run_req ~timeout metrics) e
-                  (wide_wrap_instance case) ))
-           engines
-       in
-       let t2_type =
-         match
-           List.find_opt
-             (fun (_, r) ->
-                match r.Engines.verdict with
-                | Engines.Sat | Engines.Unsat -> true
-                | _ -> false)
-             runs
-         with
-         | Some (_, r) -> r.Engines.verdict
-         | None -> Engines.Timeout
-       in
-       {
-         t2_label = wide_wrap_label case;
-         t2_type;
-         t2_arith = arith;
-         t2_bool = boolean;
-         t2_runs = runs;
-       })
+       run_case ~timeout ~metrics ~section:"wide_wrap"
+         ~engines:
+           [ Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Hdpll_p ]
+         ~label:(wide_wrap_label case)
+         (fun () -> wide_wrap_instance case))
     wide_wrap_cases
 
 (* ---- bmc_sweep family: incremental sessions vs from-scratch ----
@@ -307,13 +216,6 @@ let run_wide_wrap ?(timeout = 20.0) ?(metrics = false)
    literal — and, for comparison, re-solves each bound from scratch
    with [run_instance].  The carried-clause / carried-relation
    counters make the session reuse visible. *)
-
-type sweep_row = {
-  sr_label : string;
-  sr_engine : Engines.engine;
-  sr_steps : (Engines.sweep_step * Engines.run) list;
-      (** per bound: the incremental step and its from-scratch twin *)
-}
 
 let bmc_sweep_cases = function
   | `Full ->
@@ -330,74 +232,47 @@ let bmc_sweep_cases = function
       ("b13", "5", [ 4; 8; 12 ]);
     ]
 
-let bmc_sweep_engines = [ Engines.Hdpll; Engines.Hdpll_sp; Engines.Bitblast ]
-
-let run_bmc_sweep ?timeout ?(metrics = false) ?(engines = bmc_sweep_engines)
-    scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
+let run_bmc_sweep ?timeout ?(metrics = false) scale =
+  let timeout = Option.value timeout ~default:(default_timeout scale) in
   List.concat_map
     (fun (circuit, prop, bounds) ->
        let source, props = Registry.build circuit in
        let p = List.assoc prop props in
-       List.map
+       List.concat_map
          (fun e ->
-            let incr =
-              Engines.run_sweep ~req:(run_req ~timeout metrics) e source
-                ~prop:p ~bounds
-            in
-            let steps =
-              List.map
-                (fun (step : Engines.sweep_step) ->
-                   let scratch =
-                     Engines.run_instance ~req:(run_req ~timeout metrics) e
-                       (Registry.instance ~circuit ~prop
-                          ~bound:step.Engines.sw_bound)
-                   in
-                   (step, scratch))
-                incr
-            in
-            {
-              sr_label = Printf.sprintf "%s_%s" circuit prop;
-              sr_engine = e;
-              sr_steps = steps;
-            })
-         engines)
+            let name = Engine.name_of e in
+            Engine.run_sweep ~req:(run_req ~timeout metrics) e source ~prop:p
+              ~bounds
+            |> List.concat_map (fun (step : Engine.sweep_step) ->
+                let bound = step.Engine.sw_bound in
+                let row =
+                  row "bmc_sweep" (Registry.instance_name ~circuit ~prop ~bound)
+                in
+                let carried =
+                  [
+                    ( "carried_clauses",
+                      Json.Int step.Engine.sw_carried_clauses );
+                    ( "carried_relations",
+                      Json.Int step.Engine.sw_carried_relations );
+                  ]
+                in
+                [
+                  row (name ^ "/incr") step.Engine.sw_run ~extra:carried;
+                  row (name ^ "/scratch")
+                    (Engine.run_instance ~req:(run_req ~timeout metrics) e
+                       (Registry.instance ~circuit ~prop ~bound));
+                ]))
+         [ Engine.Hdpll; Engine.Hdpll_sp; Engine.Bitblast ])
     (bmc_sweep_cases scale)
-
-let print_bmc_sweep fmt rows =
-  Format.fprintf fmt
-    "bmc_sweep: one solver session per (design, engine); bounds as assumptions (times in seconds)@.";
-  Format.fprintf fmt "%-10s %-10s %5s %-4s %8s %8s %12s %12s@." "design"
-    "engine" "bound" "rslt" "incr" "scratch" "carried-cls" "carried-rels";
-  List.iter
-    (fun row ->
-       List.iter
-         (fun ((step : Engines.sweep_step), scratch) ->
-            Format.fprintf fmt "%-10s %-10s %5d %-4s %a %a %12d %12d@."
-              row.sr_label
-              (Engines.engine_name row.sr_engine)
-              step.Engines.sw_bound
-              (Engines.verdict_symbol step.Engines.sw_run.Engines.verdict)
-              pp_time step.Engines.sw_run pp_time scratch
-              step.Engines.sw_carried_clauses step.Engines.sw_carried_relations)
-         row.sr_steps)
-    rows
 
 (* ---- simplify family: pre/inprocessing on vs off ----
 
    Each case solves one instance per engine twice — simplification on
-   (the default) and off — with obs attached to the on arm so the
-   simplify.* counters land in the artifact.  The family locks in two
+   (the default) and off — with obs attached by default so the on
+   arm's simplify.* counters land in the artifact.  The family locks in two
    facts: simplification never flips a verdict, and it actually
    reduces the clause databases (all-zero counters would mean the
    pipeline is wired but dead). *)
-
-type simp_row = {
-  sy_label : string;
-  sy_engine : Engines.engine;
-  sy_on : Engines.run;   (** simplify on (the default configuration) *)
-  sy_off : Engines.run;  (** simplify off (the seed solver's behaviour) *)
-}
 
 let simplify_cases = function
   | `Full ->
@@ -410,79 +285,140 @@ let simplify_cases = function
     ]
   | `Scaled -> [ ("b01", "1", 10); ("b02", "1", 10); ("b13", "1", 10) ]
 
-let simplify_engines = [ Engines.Hdpll_sp; Engines.Bitblast ]
-
-let run_simplify ?timeout ?(metrics = true) ?(engines = simplify_engines)
-    scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
+let run_simplify ?timeout ?(metrics = true) scale =
+  let timeout = Option.value timeout ~default:(default_timeout scale) in
   List.concat_map
     (fun (circuit, prop, bound) ->
-       List.map
+       List.concat_map
          (fun e ->
             let mk () = Registry.instance ~circuit ~prop ~bound in
-            let on =
-              Engines.run_instance ~req:(run_req ~timeout metrics) e (mk ())
+            let row =
+              row "simplify" (Registry.instance_name ~circuit ~prop ~bound)
             in
-            let off =
-              Engines.run_instance
-                ~req:(run_req ~simplify:false ~timeout metrics) e (mk ())
-            in
-            {
-              sy_label = Printf.sprintf "%s_%s(%d)" circuit prop bound;
-              sy_engine = e;
-              sy_on = on;
-              sy_off = off;
-            })
-         engines)
+            let name = Engine.name_of e in
+            [
+              row (name ^ "/simp")
+                (Engine.run_instance ~req:(run_req ~timeout metrics) e (mk ()));
+              row (name ^ "/nosimp")
+                (Engine.run_instance
+                   ~req:(run_req ~simplify:false ~timeout metrics) e (mk ()));
+            ])
+         [ Engine.Hdpll_sp; Engine.Bitblast ])
     (simplify_cases scale)
 
-let simp_counter (r : Engines.run) name =
-  match r.Engines.metrics with
-  | None -> 0
-  | Some s ->
-    (match List.assoc_opt name s.Obs.counter_values with
-     | Some n -> n
-     | None -> 0)
+let families : family list =
+  [
+    ("table1", run_table1);
+    ("table2", run_table2);
+    ("extension", run_extension);
+    ("wide_wrap", run_wide_wrap);
+    ("bmc_sweep", run_bmc_sweep);
+    ("simplify", run_simplify);
+  ]
 
-let print_simplify fmt rows =
-  Format.fprintf fmt
-    "simplify: pre/inprocessing on vs off (times in seconds; counters from \
-     the on arm)@.";
-  Format.fprintf fmt "%-12s %-10s %-4s %-4s %8s %8s %6s %6s %6s %6s@."
-    "instance" "engine" "on" "off" "t_on" "t_off" "subs" "str" "elim" "probe";
-  List.iter
-    (fun row ->
-       Format.fprintf fmt "%-12s %-10s %-4s %-4s %a %a %6d %6d %6d %6d@."
-         row.sy_label
-         (Engines.engine_name row.sy_engine)
-         (Engines.verdict_symbol row.sy_on.Engines.verdict)
-         (Engines.verdict_symbol row.sy_off.Engines.verdict)
-         pp_time row.sy_on pp_time row.sy_off
-         (simp_counter row.sy_on "simplify.subsumed")
-         (simp_counter row.sy_on "simplify.strengthened")
-         (simp_counter row.sy_on "simplify.eliminated")
-         (simp_counter row.sy_on "simplify.probed"))
-    rows
+(* ---- printers ---- *)
 
-let print_table2_csv fmt rows =
-  (match rows with
-   | [] -> ()
-   | row :: _ ->
-     Format.fprintf fmt "instance,result,arith_ops,bool_ops";
-     List.iter
-       (fun (e, _) -> Format.fprintf fmt ",%s" (Engines.engine_name e))
-       row.t2_runs;
-     Format.fprintf fmt "@.");
+let time_cell (r : Engine.run) =
+  match r.Engine.verdict with
+  | Engine.Timeout -> "-to-"
+  | Engine.Abort _ -> "-A-"
+  | _ -> Printf.sprintf "%.2f" r.Engine.time
+
+(* consecutive rows of one instance, in order *)
+let by_instance rows =
+  List.fold_left
+    (fun acc r ->
+       match acc with
+       | (i, rs) :: tl when i = r.instance -> (i, r :: rs) :: tl
+       | _ -> (r.instance, [ r ]) :: acc)
+    [] rows
+  |> List.rev_map (fun (i, rs) -> (i, List.rev rs))
+
+(* the instance's verdict: its first decided arm's *)
+let reference_verdict rs =
+  match
+    List.find_opt
+      (fun r ->
+         match r.run.Engine.verdict with
+         | Engine.Sat | Engine.Unsat -> true
+         | _ -> false)
+      rs
+  with
+  | Some r -> r.run.Engine.verdict
+  | None -> Engine.Timeout
+
+let int_extra key r =
+  match List.assoc_opt key r.extra with
+  | Some (Json.Int n) -> string_of_int n
+  | _ -> "-"
+
+(* The paper's layout: one line per instance, one time column per arm.
+   Table 1 reports the learning arm's relation count and learning
+   time; the other pivots the instance's operator counts. *)
+let print_pivot fmt section rows =
+  let groups = by_instance rows in
+  let table1 = section = "table1" in
+  let width = if table1 then 8 else 9 in
+  let scalars rs =
+    if table1 then
+      let learned = List.nth rs (List.length rs - 1) in
+      [
+        (8, string_of_int learned.run.Engine.relations);
+        (10, Printf.sprintf "%.2f" learned.run.Engine.learn_time);
+      ]
+    else
+      let r = List.hd rs in
+      [ (8, int_extra "arith_ops" r); (8, int_extra "bool_ops" r) ]
+  in
+  let line label verdict scalars cells =
+    Format.fprintf fmt "%-14s %-4s" label verdict;
+    List.iter (fun (w, s) -> Format.fprintf fmt " %*s" w s) scalars;
+    List.iter (fun s -> Format.fprintf fmt " %*s" width s) cells;
+    Format.fprintf fmt "@."
+  in
+  if table1 then
+    Format.fprintf fmt
+      "Table 1: Run-Time Analysis of Predicate Learning (times in seconds)@."
+  else if section = "table2" then
+    Format.fprintf fmt
+      "Table 2: Run-Time Analysis of Structural Decision Strategy (times in \
+       seconds)@.(UCLID is substituted by eager bit-blasting, ICS by a lazy \
+       CDP; see DESIGN.md)@.";
+  match groups with
+  | [] -> ()
+  | (_, first) :: _ ->
+    let arms = List.map (fun r -> r.arm) first in
+    if table1 then
+      line "Ckt" "Type" [ (8, "No.Rels"); (10, "LearnTime") ]
+        (List.map String.uppercase_ascii arms)
+    else line "Test-case" "Rslt" [ (8, "ArithOps"); (8, "BoolOps") ] arms;
+    List.iter
+      (fun (instance, rs) ->
+         line instance
+           (Engine.verdict_symbol (reference_verdict rs))
+           (scalars rs)
+           (List.map (fun r -> time_cell r.run) rs))
+      groups
+
+(* one line per row, extras as key=value *)
+let print_rows fmt rows =
+  Format.fprintf fmt "%-14s %-18s %-4s %9s  extra@." "instance" "arm" "rslt"
+    "time_s";
   List.iter
     (fun r ->
-       Format.fprintf fmt "%s,%s,%d,%d" r.t2_label
-         (Engines.verdict_symbol r.t2_type)
-         r.t2_arith r.t2_bool;
+       Format.fprintf fmt "%-14s %-18s %-4s %9.2f" r.instance r.arm
+         (Engine.verdict_symbol r.run.Engine.verdict)
+         r.run.Engine.time;
        List.iter
-         (fun (_, run) ->
-            match run.Engines.verdict with
-            | Engines.Timeout | Engines.Abort _ -> Format.fprintf fmt ","
-            | _ -> Format.fprintf fmt ",%.3f" run.Engines.time)
-         r.t2_runs;
+         (fun (k, v) -> Format.fprintf fmt " %s=%s" k (Json.to_string v))
+         r.extra;
        Format.fprintf fmt "@.")
     rows
+
+let print fmt rows =
+  match rows with
+  | [] -> ()
+  | { section = ("table1" | "table2" | "extension" | "wide_wrap") as s; _ }
+    :: _ ->
+    print_pivot fmt s rows
+  | _ -> print_rows fmt rows

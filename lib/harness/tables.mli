@@ -1,4 +1,7 @@
-(** Regeneration of the paper's two evaluation tables.
+(** The bench families: the paper's two evaluation tables and the
+    workload families around them.  Every family produces the same
+    cell shape — one {!row} per (instance, arm) run — which
+    {!Report.row_json} serializes into the [rtlsat.bench/2] artifact.
 
     [`Scaled] uses reduced bound lists and timeout so the whole suite
     runs in minutes on a laptop; [`Full] uses the paper's exact bounds
@@ -9,128 +12,51 @@ type scale = [ `Scaled | `Full ]
 val scale_name : scale -> string
 (** ["scaled"] / ["full"], as used in JSON reports. *)
 
-type t1_row = {
-  t1_label : string;
-  t1_type : Engines.verdict;   (** from the HDPLL+P run *)
-  t1_relations : int;
-  t1_learn_time : float;
-  t1_hdpll : Engines.run;
-  t1_hdpll_p : Engines.run;
+type row = {
+  section : string;  (** the family, e.g. ["table2"] *)
+  instance : string;  (** e.g. ["b13_1(50)"] *)
+  arm : string;
+      (** the engine name, suffixed where a family runs one engine
+          several ways: ["hdpll/incr"] vs ["hdpll/scratch"] (bmc_sweep),
+          ["bitblast/simp"] vs ["bitblast/nosimp"] (simplify) *)
+  run : Engine.run;
+  extra : (string * Rtlsat_obs.Json.t) list;
+      (** the family's own scalars: ["arith_ops"]/["bool_ops"] (table2,
+          extension, wide_wrap), ["carried_clauses"]/
+          ["carried_relations"] (bmc_sweep incremental arms),
+          ["winner"] (parallel portfolio arms) *)
 }
+
+type family = string * (?timeout:float -> ?metrics:bool -> scale -> row list)
+(** A named family runner.  [timeout] overrides the family's per-run
+    budget; [metrics] attaches a fresh observability handle to every
+    run, filling [run.metrics] for JSON reports (default false, except
+    simplify, whose point is its [simplify.*] counters). *)
+
+val families : family list
+(** [table1], [table2], [extension], [wide_wrap], [bmc_sweep] and
+    [simplify], in that order.  The bench harness appends [parallel]
+    and the [sweep] scaling curve, which need libraries that depend on
+    this one. *)
 
 val table1_instances : scale -> (string * string * int) list
 (** (circuit, property, bound) triples of Table 1 rows. *)
 
-val run_table1 : ?timeout:float -> ?metrics:bool -> scale -> t1_row list
-(** [metrics] (default false) attaches a fresh observability handle to
-    every run, filling [Engines.run.metrics] for JSON reports. *)
-
-val print_table1 : Format.formatter -> t1_row list -> unit
-
-type t2_row = {
-  t2_label : string;
-  t2_type : Engines.verdict;
-  t2_arith : int;
-  t2_bool : int;
-  t2_runs : (Engines.engine * Engines.run) list;
-}
-
 val table2_instances : scale -> (string * string * int) list
-
-val run_table2 :
-  ?timeout:float -> ?metrics:bool -> ?engines:Engines.engine list -> scale -> t2_row list
-
-val print_table2 : Format.formatter -> t2_row list -> unit
 
 val run_row :
   ?timeout:float ->
   ?metrics:bool ->
-  engines:Engines.engine list ->
+  section:string ->
+  engines:Engine.id list ->
   string * string * int ->
-  t2_row
-(** Run one instance across engines (used by the CLI). *)
+  row list
+(** Run one instance across engines, one row per engine with the
+    instance's operator counts as extras. *)
 
-val extension_instances : (string * string * int) list
-(** BMC instances over the suite-extension circuits (b03, b06, b07,
-    b09, b10, b11) — not part of the paper's tables. *)
-
-val run_extension :
-  ?timeout:float -> ?metrics:bool -> ?engines:Engines.engine list -> unit -> t2_row list
-
-val wide_wrap_cases : (string * int) list
-(** (kind, width) pairs of the wide_wrap family: wrap-around add, sub
-    and mul-by-const corners at widths 32, 48 and 61.  Each case is a
-    one-frame Sat instance whose only witness sits at a wrap corner —
-    the workload class behind the w61 slow-ICP pathology. *)
-
-val wide_wrap_label : string * int -> string
-(** e.g. ["wide_add_w61"]. *)
-
-val wide_wrap_instance : string * int -> Rtlsat_bmc.Bmc.instance
-
-val run_wide_wrap :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  unit ->
-  t2_row list
-(** Run the whole family (default: the four HDPLL configurations,
-    20 s timeout). *)
-
-type sweep_row = {
-  sr_label : string;           (** e.g. ["b13_5"] *)
-  sr_engine : Engines.engine;
-  sr_steps : (Engines.sweep_step * Engines.run) list;
-      (** per bound: the incremental step and its from-scratch twin *)
-}
-
-val bmc_sweep_cases : scale -> (string * string * int list) list
-(** (circuit, property, bounds) of the bmc_sweep bench family. *)
-
-val bmc_sweep_engines : Engines.engine list
-(** Default engines of the family: HDPLL, HDPLL+S+P and the eager
-    bit-blast baseline. *)
-
-val run_bmc_sweep :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  scale ->
-  sweep_row list
-(** Sweep every case's bounds through one solver session per engine
-    ({!Engines.run_sweep}) and re-solve each bound from scratch for
-    comparison.  [timeout] is a per-bound budget. *)
-
-val print_bmc_sweep : Format.formatter -> sweep_row list -> unit
-
-type simp_row = {
-  sy_label : string;           (** e.g. ["b13_1(10)"] *)
-  sy_engine : Engines.engine;
-  sy_on : Engines.run;   (** simplify on (the default configuration) *)
-  sy_off : Engines.run;  (** simplify off (the seed solver's behaviour) *)
-}
-
-val simplify_cases : scale -> (string * string * int) list
-(** (circuit, property, bound) of the simplify bench family. *)
-
-val simplify_engines : Engines.engine list
-(** Default engines of the family: the hybrid HDPLL+S+P configuration
-    and the eager bit-blast baseline — one arm per clause database the
-    pre/inprocessing pipeline touches. *)
-
-val run_simplify :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  scale ->
-  simp_row list
-(** Solve every case twice per engine, simplification on and off.
-    [metrics] defaults to [true] (unlike the other families) so the
-    simplify.* counters always land in the artifact — the family's
-    whole point is pinning the database reduction. *)
-
-val print_simplify : Format.formatter -> simp_row list -> unit
-
-val print_table2_csv : Format.formatter -> t2_row list -> unit
-(** Machine-readable variant (label, result, ops, one time column per
-    engine; timeouts as empty cells). *)
+val print : Format.formatter -> row list -> unit
+(** Print one family's rows.  [table1], [table2], [extension] and
+    [wide_wrap] use the paper's pivot layout — one line per instance,
+    one time column per arm, the instance's verdict (its first decided
+    arm's) and scalar columns in front; the other families print one
+    line per row with their extras as [key=value]. *)

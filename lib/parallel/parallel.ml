@@ -19,7 +19,7 @@ module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Req = Rtlsat_harness.Req
 module Obs = Rtlsat_obs.Obs
 module Mono = Rtlsat_obs.Mono
@@ -74,28 +74,28 @@ let worker_obs parent w =
 (* ---- engine portfolio ---- *)
 
 let all_engines =
-  Engines.[ Hdpll_sp; Hdpll; Hdpll_s; Hdpll_p; Bitblast; Lazy_cdp ]
+  Engine.[ Hdpll_sp; Hdpll; Hdpll_s; Hdpll_p; Bitblast; Lazy_cdp ]
 
 let portfolio_lineup engine j =
   let rest = List.filter (fun e -> e <> engine) all_engines in
   List.filteri (fun i _ -> i < max 1 j) (engine :: rest)
 
 type portfolio_result = {
-  p_winner : Engines.engine option;
-  p_run : Engines.run;
-  p_runs : (Engines.engine * Engines.run option) list;
+  p_winner : Engine.id option;
+  p_run : Engine.run;
+  p_runs : (Engine.id * Engine.run option) list;
   p_wall : float;
   p_metrics : Obs.snapshot;
 }
 
-let decisive_run (r : Engines.run) =
-  match r.Engines.verdict with
-  | Engines.Sat | Engines.Unsat -> true
-  | Engines.Timeout | Engines.Abort _ -> false
+let decisive_run (r : Engine.run) =
+  match r.Engine.verdict with
+  | Engine.Sat | Engine.Unsat -> true
+  | Engine.Timeout | Engine.Abort _ -> false
 
 let synth_timeout_run wall =
   {
-    Engines.verdict = Engines.Timeout;
+    Engine.verdict = Engine.Timeout;
     time = wall;
     relations = 0;
     learn_time = 0.0;
@@ -119,7 +119,7 @@ let portfolio ?(req = Req.default) ~j ~engine inst =
             let o = worker_obs req.Req.obs w in
             fun ~worker:_ ~cancel ->
               ( eng,
-                Engines.run_instance
+                Engine.run_instance
                   ~req:{ req with Req.obs = o; cancel }
                   eng inst ))
          lineup)
@@ -141,22 +141,22 @@ let portfolio ?(req = Req.default) ~j ~engine inst =
       List.mapi (fun i eng -> (eng, run_of i)) lineup;
     p_wall = rr.wall;
     p_metrics =
-      merged_metrics rr.entries (fun (_, r) -> r.Engines.metrics);
+      merged_metrics rr.entries (fun (_, r) -> r.Engine.metrics);
   }
 
 (* ---- cube-and-conquer ---- *)
 
 let is_hybrid = function
-  | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p ->
+  | Engine.Hdpll | Engine.Hdpll_s | Engine.Hdpll_sp | Engine.Hdpll_p ->
     true
-  | Engines.Bitblast | Engines.Lazy_cdp -> false
+  | Engine.Bitblast | Engine.Lazy_cdp -> false
 
 let base_options = function
-  | Engines.Hdpll -> Solver.hdpll
-  | Engines.Hdpll_s -> Solver.hdpll_s
-  | Engines.Hdpll_sp -> Solver.hdpll_sp
-  | Engines.Hdpll_p -> Solver.hdpll_p
-  | Engines.Bitblast | Engines.Lazy_cdp ->
+  | Engine.Hdpll -> Solver.hdpll
+  | Engine.Hdpll_s -> Solver.hdpll_s
+  | Engine.Hdpll_sp -> Solver.hdpll_sp
+  | Engine.Hdpll_p -> Solver.hdpll_p
+  | Engine.Bitblast | Engine.Lazy_cdp ->
     invalid_arg "Parallel: cube-and-conquer needs a hybrid engine"
 
 (* what may cross the exchange: unit clauses over any atom (interval
@@ -190,7 +190,7 @@ let cubes_of candidates target =
   |> List.map Array.of_list
 
 type cube_result = {
-  c_verdict : Engines.verdict;
+  c_verdict : Engine.verdict;
   c_time : float;
   c_cubes : int;       (** 0 when the probe or fallback decided alone *)
   c_refuted : int;
@@ -255,20 +255,20 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
   let probe = Solver.Session.solve ~deadline:probe_deadline sess0 in
   let probe_time = Mono.now () -. t0 in
   let verdict_of_result enc = function
-    | Solver.Unsat -> Engines.Unsat
-    | Solver.Timeout -> Engines.Timeout
+    | Solver.Unsat -> Engine.Unsat
+    | Solver.Timeout -> Engine.Timeout
     | Solver.Sat m ->
-      if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engines.Sat
-      else Engines.Abort "witness failed replay"
+      if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engine.Sat
+      else Engine.Abort "witness failed replay"
   in
   match
     verdict_of_result enc0 probe.Solver.Session.outcome.Solver.result
   with
-  | (Engines.Sat | Engines.Unsat | Engines.Abort _) as v ->
+  | (Engine.Sat | Engine.Unsat | Engine.Abort _) as v ->
     finish ~probe_time ~metrics:(Obs.snapshot obs) v
-  | Engines.Timeout when Mono.now () >= deadline ->
-    finish ~probe_time ~metrics:(Obs.snapshot obs) Engines.Timeout
-  | Engines.Timeout ->
+  | Engine.Timeout when Mono.now () >= deadline ->
+    finish ~probe_time ~metrics:(Obs.snapshot obs) Engine.Timeout
+  | Engine.Timeout ->
     let candidates = Solver.Session.split_candidates ~max:8 sess0 in
     if candidates = [] then begin
       (* nothing to cube on (no splittable word interval): spend the
@@ -342,10 +342,10 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       in
       let verdict =
         match (rr.winner, abort_msg) with
-        | Some _, _ -> Engines.Sat
-        | None, _ when refuted = ncubes -> Engines.Unsat
-        | None, Some m -> Engines.Abort m
-        | None, None -> Engines.Timeout
+        | Some _, _ -> Engine.Sat
+        | None, _ when refuted = ncubes -> Engine.Unsat
+        | None, Some m -> Engine.Abort m
+        | None, None -> Engine.Timeout
       in
       finish ~cubes:ncubes ~refuted
         ~vars:(List.map (fun (v, _, _) -> v) candidates)
@@ -364,14 +364,14 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
 let sweep ?(req = Req.default) ?semantics ~j engine source ~prop ~bounds =
   let j = max 1 (min j (List.length bounds)) in
   if j <= 1 then
-    Engines.run_sweep ~req ?semantics engine source ~prop ~bounds
+    Engine.run_sweep ~req ?semantics engine source ~prop ~bounds
   else begin
     let buckets = Array.make j [] in
     List.iteri (fun i b -> buckets.(i mod j) <- b :: buckets.(i mod j)) bounds;
     let buckets = Array.map List.rev buckets in
     let worker ~worker:w ~cancel:_ =
       let o = worker_obs req.Req.obs w in
-      Engines.run_sweep
+      Engine.run_sweep
         ~req:{ req with Req.obs = o }
         ?semantics engine source ~prop ~bounds:buckets.(w)
     in
@@ -386,7 +386,7 @@ let sweep ?(req = Req.default) ?semantics ~j engine source ~prop ~bounds =
     List.sort
       (fun a b ->
          compare
-           (List.assoc a.Engines.sw_bound order)
-           (List.assoc b.Engines.sw_bound order))
+           (List.assoc a.Engine.sw_bound order)
+           (List.assoc b.Engine.sw_bound order))
       steps
   end

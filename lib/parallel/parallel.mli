@@ -36,19 +36,19 @@ val race :
 (** {1 Engine portfolio} *)
 
 val portfolio_lineup :
-  Rtlsat_harness.Engines.engine -> int -> Rtlsat_harness.Engines.engine list
+  Rtlsat_harness.Engine.id -> int -> Rtlsat_harness.Engine.id list
 (** The engines a [-j j] portfolio races: the requested engine first,
     then the remaining engines in default order, capped at [j] (and at
     the total engine count, 6). *)
 
 type portfolio_result = {
-  p_winner : Rtlsat_harness.Engines.engine option;
+  p_winner : Rtlsat_harness.Engine.id option;
       (** engine whose decisive verdict won; [None] if all timed out *)
-  p_run : Rtlsat_harness.Engines.run;
+  p_run : Rtlsat_harness.Engine.run;
       (** the winning run, or the requested engine's run when nobody
           decided *)
   p_runs :
-    (Rtlsat_harness.Engines.engine * Rtlsat_harness.Engines.run option) list;
+    (Rtlsat_harness.Engine.id * Rtlsat_harness.Engine.run option) list;
       (** every contestant's run ([None] where the worker raised);
           losers report [Timeout] via cancellation *)
   p_wall : float;  (** wall clock of the whole race *)
@@ -59,7 +59,7 @@ type portfolio_result = {
 val portfolio :
   ?req:Rtlsat_harness.Req.t ->
   j:int ->
-  engine:Rtlsat_harness.Engines.engine ->
+  engine:Rtlsat_harness.Engine.id ->
   Rtlsat_bmc.Bmc.instance ->
   portfolio_result
 (** Race up to [j] engines on one shared (pre-unrolled) instance;
@@ -67,7 +67,7 @@ val portfolio :
     source circuit are only read by the workers — each engine builds
     its own encoding.  [req] (default {!Rtlsat_harness.Req.default})
     carries the budget and per-engine knobs as in
-    {!Rtlsat_harness.Engines.run_instance}; each worker runs under a
+    {!Rtlsat_harness.Engine.run_instance}; each worker runs under a
     derived request whose [obs] is a fresh handle sharing [req.obs]'s
     trace/recorder sinks (which are internally locked), tagged with
     its worker id, and whose [cancel] is the race's shared flag
@@ -76,7 +76,7 @@ val portfolio :
 (** {1 Cube-and-conquer} *)
 
 type cube_result = {
-  c_verdict : Rtlsat_harness.Engines.verdict;
+  c_verdict : Rtlsat_harness.Engine.verdict;
   c_time : float;
   c_cubes : int;       (** 0 when the probe or fallback decided alone *)
   c_refuted : int;     (** cubes proved Unsat *)
@@ -92,7 +92,7 @@ val cube_solve :
   ?req:Rtlsat_harness.Req.t ->
   ?probe_budget:float ->
   j:int ->
-  engine:Rtlsat_harness.Engines.engine ->
+  engine:Rtlsat_harness.Engine.id ->
   Rtlsat_bmc.Bmc.instance ->
   cube_result
 (** Cube-and-conquer a hard instance with a hybrid engine:
@@ -124,14 +124,14 @@ val sweep :
   ?req:Rtlsat_harness.Req.t ->
   ?semantics:Rtlsat_bmc.Bmc.semantics ->
   j:int ->
-  Rtlsat_harness.Engines.engine ->
+  Rtlsat_harness.Engine.id ->
   Rtlsat_rtl.Ir.circuit ->
   prop:Rtlsat_rtl.Ir.node ->
   bounds:int list ->
-  Rtlsat_harness.Engines.sweep_step list
+  Rtlsat_harness.Engine.sweep_step list
 (** Partition the bound ladder round-robin over [min j #bounds]
     workers, each running its own private
-    {!Rtlsat_harness.Engines.run_sweep} (own unroll, own session) on
+    {!Rtlsat_harness.Engine.run_sweep} (own unroll, own session) on
     its subset; steps are returned in the caller's bound order.  No
     cancellation — every bound reports its own verdict, exactly as
     sequentially.  Verdicts match [-j 1]; per-bound carried-lemma

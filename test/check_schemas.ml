@@ -1,10 +1,12 @@
 (* Schema sweep over every committed machine-readable artifact: each
-   bench/baselines/BENCH_*.json must parse as rtlsat.bench/1 (via the
-   same flattener bench-diff uses), and each fixtures/trace_v<N>.jsonl
-   must replay through the profiler at exactly the version its
-   filename declares — fixtures named *unsupported* must instead be
-   rejected.  Run by the runtest alias so a schema bump that forgets a
-   committed artifact fails the build. *)
+   bench artifact (bench/baselines/BENCH_*.json, fixtures/bench_*.json,
+   fixtures/history/BENCH_*.json) must read as rtlsat.bench/2 through
+   the same reader bench-diff uses — every row with section, instance,
+   arm, verdict and time_s — and each fixtures/trace_v<N>.jsonl must
+   replay through the profiler at exactly the version its filename
+   declares — fixtures named *unsupported* must instead be rejected.
+   Run by the runtest alias so a schema bump that forgets a committed
+   artifact fails the build. *)
 
 module Json = Rtlsat_obs.Json
 module Forensics = Rtlsat_obs.Forensics
@@ -29,8 +31,9 @@ let check_bench path =
     | rows -> rows
     | exception Invalid_argument m -> fail "%s: %s" path m
   in
-  if rows = [] then fail "%s: rtlsat.bench/1 artifact with no rows" path;
-  Printf.printf "OK: %s (rtlsat.bench/1, %d rows)\n" path (List.length rows)
+  if rows = [] then fail "%s: %s artifact with no rows" path Report.bench_schema;
+  Printf.printf "OK: %s (%s, %d rows)\n" path Report.bench_schema
+    (List.length rows)
 
 (* "trace_v5.jsonl" -> Some 5 *)
 let declared_version path =

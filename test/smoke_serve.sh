@@ -10,6 +10,10 @@
 #      rtlsat.serve/1 schema stamp
 #   4. the serve ledger records one rtlsat.run/1 record per solve with
 #      subcommand "serve" and the warm flag in options
+#   5. a rejected request ("bound": -3, or an unknown field such as
+#      "timeout" for "timeout_s") leaves no pool session behind: stats
+#      counts the errors and lists no session, and the next good solve
+#      on that key is cold (warm=false)
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -26,7 +30,8 @@ fi
 
 out=$(mktemp /tmp/rtlsat_serve.XXXXXX.out)
 ledger=$(mktemp /tmp/rtlsat_serve.XXXXXX.ledger)
-trap 'rm -f "$out" "$ledger"' EXIT
+bad=$(mktemp /tmp/rtlsat_serve.XXXXXX.bad)
+trap 'rm -f "$out" "$ledger" "$bad"' EXIT
 
 req='{"op":"solve","id":%d,"circuit":"b01","prop":"1","bound":10,"timeout_s":60}'
 
@@ -69,5 +74,26 @@ sed -n 5p "$out" | grep -q '"op":"shutdown"'
 grep -q 'warm=false' "$ledger"
 grep -q 'warm=true' "$ledger"
 "$rtlsat" runs --ledger "$ledger" | grep -q "b01_1(10)"
+
+# 5. rejected requests create no session
+{
+  printf '{"op":"solve","id":1,"circuit":"b02","prop":"1","bound":-3}\n'
+  printf '{"op":"solve","id":2,"circuit":"b02","prop":"1","bound":5,"timeout":-1}\n'
+  printf '{"op":"stats","id":3}\n'
+  printf '{"op":"solve","id":4,"circuit":"b02","prop":"1","bound":5,"timeout_s":60}\n'
+  printf '{"op":"shutdown","id":5}\n'
+} | "$rtlsat" serve > "$bad" 2>/dev/null
+
+[ "$(wc -l < "$bad")" -eq 5 ]
+sed -n 1p "$bad" | grep -q '"ok":false'
+sed -n 2p "$bad" | grep -q '"ok":false'
+sed -n 2p "$bad" | grep -q 'unknown field'
+stats=$(sed -n 3p "$bad")
+echo "$stats" | grep -q '"served":0'
+echo "$stats" | grep -q '"errors":2'
+echo "$stats" | grep -q '"sessions":\[\]'
+good=$(sed -n 4p "$bad")
+echo "$good" | grep -q '"ok":true'
+echo "$good" | grep -q '"warm":false'
 
 echo "smoke_serve: all checks passed"

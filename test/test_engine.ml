@@ -13,7 +13,6 @@ module Solver = Rtlsat_core.Solver
 module Bb = Rtlsat_baselines.Bitblast
 module Lz = Rtlsat_baselines.Lazy_cdp
 module Engine = Rtlsat_harness.Engine
-module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Serve = Rtlsat_harness.Serve
 module Registry = Rtlsat_itc99.Registry
@@ -29,7 +28,7 @@ let check_string = Alcotest.(check string)
 
 (* ---- the pre-refactor dispatch, reconstructed over the raw APIs ---- *)
 
-(* Verdicts exactly as the old variant-matching [Engines.run_instance]
+(* Verdicts exactly as the old variant-matching [Engine.run_instance]
    computed them before the Engine.S refactor: hand-rolled encode +
    engine call + witness replay, with the old default knobs
    (split on, simplify on, inprocess off).  The module path under test
@@ -108,13 +107,13 @@ let test_corpus_equivalence () =
        List.iter
          (fun id ->
             let r =
-              Engines.run_instance
+              Engine.run_instance
                 ~req:(Req.make ~timeout:5.0 ())
                 id (Case.instance case)
             in
             agree
               (file ^ " on " ^ Engine.name_of id)
-              r.Engines.verdict
+              r.Engine.verdict
               (direct_verdict id (Case.instance case)))
          Engine.all_ids)
     (corpus_cases ())
@@ -129,16 +128,16 @@ let test_lazy_scratch_sweep () =
   let p = List.assoc "1" props in
   let bounds = [ 2; 4; 6 ] in
   let steps =
-    Engines.run_sweep ~req:(Req.make ~timeout:5.0 ()) Engine.Lazy_cdp source
+    Engine.run_sweep ~req:(Req.make ~timeout:5.0 ()) Engine.Lazy_cdp source
       ~prop:p ~bounds
   in
   check_int "one step per bound" (List.length bounds) (List.length steps);
   let sw = Bmc.sweep source ~prop:p () in
   List.iter2
-    (fun (step : Engines.sweep_step) bound ->
-       check_int "step bound" bound step.Engines.sw_bound;
-       check_int "nothing carried" 0 step.Engines.sw_carried_clauses;
-       check_int "no relations carried" 0 step.Engines.sw_carried_relations;
+    (fun (step : Engine.sweep_step) bound ->
+       check_int "step bound" bound step.Engine.sw_bound;
+       check_int "nothing carried" 0 step.Engine.sw_carried_clauses;
+       check_int "no relations carried" 0 step.Engine.sw_carried_relations;
        let vnode = Bmc.sweep_violation sw ~bound in
        let enc = E.encode (Unroll.combo (Bmc.sweep_unrolled sw)) in
        E.assume_bool enc vnode true;
@@ -153,7 +152,7 @@ let test_lazy_scratch_sweep () =
        in
        agree
          (Printf.sprintf "lazy-cdp sweep bound %d" bound)
-         step.Engines.sw_run.Engines.verdict direct)
+         step.Engine.sw_run.Engine.verdict direct)
     steps bounds
 
 (* ---- seed-42 property: random circuits, all engines ---- *)
@@ -169,12 +168,12 @@ let prop_module_path_equiv =
        List.for_all
          (fun id ->
             let r =
-              Engines.run_instance
+              Engine.run_instance
                 ~req:(Req.make ~timeout:2.0 ())
                 id (Case.instance case)
             in
             match
-              (r.Engines.verdict,
+              (r.Engine.verdict,
                direct_verdict ~timeout:2.0 id (Case.instance case))
             with
             | Engine.Timeout, _ | _, Engine.Timeout -> true
@@ -220,10 +219,10 @@ let test_caps_behaviour () =
            Registry.instance ~circuit:"b01" ~prop:"1" ~bound:3
          else Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10
        in
-       let r = Engines.run_instance ~req id inst in
+       let r = Engine.run_instance ~req id inst in
        check_bool (label ^ ": decided within budget") true
-         (match r.Engines.verdict with
-          | Engines.Sat | Engines.Unsat -> true
+         (match r.Engine.verdict with
+          | Engine.Sat | Engine.Unsat -> true
           | _ -> false);
        let s = Obs.snapshot obs in
        let simplify_calls =
@@ -242,7 +241,7 @@ let test_caps_behaviour () =
          caps.Engine.honors_simplify (simplify_calls > 0);
        if not caps.Engine.exports_learned_clauses then
          check_int (label ^ ": on_learn never fires") 0 !learned
-       else if r.Engines.conflicts > 0 then
+       else if r.Engine.conflicts > 0 then
          check_bool (label ^ ": on_learn fired on conflicts") true
            (!learned > 0);
        Obs.close obs)
@@ -258,18 +257,18 @@ let test_caps_sessions () =
        let caps = Engine.caps_of id in
        if not caps.Engine.supports_sessions then
          let steps =
-           Engines.run_sweep
+           Engine.run_sweep
              ~req:(Req.make ~timeout:30.0 ())
              id source ~prop:p ~bounds:[ 4; 8 ]
          in
          List.iter
-           (fun (st : Engines.sweep_step) ->
+           (fun (st : Engine.sweep_step) ->
               check_int
                 (Engine.name_of id ^ ": sessionless carries no clauses")
-                0 st.Engines.sw_carried_clauses;
+                0 st.Engine.sw_carried_clauses;
               check_int
                 (Engine.name_of id ^ ": sessionless carries no relations")
-                0 st.Engines.sw_carried_relations)
+                0 st.Engine.sw_carried_relations)
            steps)
     Engine.all_ids
 
@@ -335,6 +334,38 @@ let test_serve_warm_reuse () =
   in
   check_bool "shutdown stops the loop" false continue
 
+(* ---- serve: rejected requests leave the pool as it was ---- *)
+
+let test_serve_rejects_bad_requests () =
+  let t = Serve.create () in
+  let handle line = fst (Serve.handle t (Json.of_string line)) in
+  let ok r = Json.member "ok" r = Some (Json.Bool true) in
+  let solve extra =
+    handle
+      ("{\"op\":\"solve\",\"circuit\":\"b01\",\"prop\":\"1\"," ^ extra ^ "}")
+  in
+  List.iter
+    (fun (what, r) -> check_bool what false (ok r))
+    [
+      ("bound 0", solve "\"bound\":0");
+      ("negative bound", solve "\"bound\":-3");
+      ("zero timeout", solve "\"bound\":5,\"timeout_s\":0");
+      ("unknown field", solve "\"bound\":5,\"timeout\":-1");
+      ( "sweep with a bad bound",
+        handle
+          "{\"op\":\"sweep\",\"circuit\":\"b01\",\"prop\":\"1\",\"bounds\":[2,0]}" );
+    ];
+  let stats = handle "{\"op\":\"stats\"}" in
+  check_bool "errors counted" true (Json.member "errors" stats = Some (Json.Int 5));
+  check_bool "nothing served" true (Json.member "served" stats = Some (Json.Int 0));
+  check_bool "no session created" true
+    (Json.member "sessions" stats = Some (Json.Arr []));
+  let good = solve "\"bound\":5,\"timeout_s\":60" in
+  check_bool "a good request still works" true (ok good);
+  check_bool "and is cold" true
+    (Option.bind (Json.member "session" good) (Json.member "warm")
+     = Some (Json.Bool false))
+
 let () =
   Alcotest.run "engine"
     [
@@ -359,5 +390,7 @@ let () =
         [
           Alcotest.test_case "warm reuse over one pool" `Quick
             test_serve_warm_reuse;
+          Alcotest.test_case "bad requests create no session" `Quick
+            test_serve_rejects_bad_requests;
         ] );
     ]

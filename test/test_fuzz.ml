@@ -149,7 +149,7 @@ let test_shrink_rejects_all () =
 (* ---- oracle ---- *)
 
 let quick_engines =
-  [ Oracle.Engines.Hdpll; Oracle.Engines.Hdpll_sp; Oracle.Engines.Bitblast ]
+  [ Oracle.Engine.Hdpll; Oracle.Engine.Hdpll_sp; Oracle.Engine.Bitblast ]
 
 let test_oracle_sat_certificate () =
   let c = N.create "sat1" in
@@ -243,7 +243,7 @@ let split_verdict_agreement =
          Gen.circuit ~seed ~cfg:{ Gen.default with Gen.max_nodes = 10 } ()
        in
        let inst = Case.instance case in
-       let module E = Oracle.Engines in
+       let module E = Oracle.Engine in
        let run ?split engine =
          (E.run_instance
             ~req:(Rtlsat_harness.Req.make ~timeout:2.0 ?split ())

@@ -9,7 +9,7 @@ module E = Rtlsat_constr.Encode
 module Unroll = Rtlsat_bmc.Unroll
 module Bmc = Rtlsat_bmc.Bmc
 module Registry = Rtlsat_itc99.Registry
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Tables = Rtlsat_harness.Tables
 module Induction = Rtlsat_harness.Induction
 module Solver = Rtlsat_core.Solver
@@ -22,22 +22,22 @@ let check_int = Alcotest.(check int)
 let test_engine_names () =
   Alcotest.(check (list string)) "table2 column order"
     [ "hdpll"; "hdpll+s"; "hdpll+s+p"; "bitblast"; "lazy-cdp" ]
-    (List.map Engines.engine_name Engines.table2_engines)
+    (List.map Engine.name_of Engine.table2_engines)
 
 let test_verdict_symbols () =
-  Alcotest.(check string) "S" "S" (Engines.verdict_symbol Engines.Sat);
-  Alcotest.(check string) "U" "U" (Engines.verdict_symbol Engines.Unsat);
-  Alcotest.(check string) "to" "-to-" (Engines.verdict_symbol Engines.Timeout);
-  Alcotest.(check string) "A" "-A-" (Engines.verdict_symbol (Engines.Abort "x"))
+  Alcotest.(check string) "S" "S" (Engine.verdict_symbol Engine.Sat);
+  Alcotest.(check string) "U" "U" (Engine.verdict_symbol Engine.Unsat);
+  Alcotest.(check string) "to" "-to-" (Engine.verdict_symbol Engine.Timeout);
+  Alcotest.(check string) "A" "-A-" (Engine.verdict_symbol (Engine.Abort "x"))
 
 let test_run_instance_validates_witness () =
   let inst = Registry.instance ~circuit:"b13" ~prop:"40" ~bound:13 in
   let r =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
-      Engines.Hdpll_sp inst
+      Engine.Hdpll_sp inst
   in
-  check_bool "sat (so the witness replayed)" true (r.Engines.verdict = Engines.Sat)
+  check_bool "sat (so the witness replayed)" true (r.Engine.verdict = Engine.Sat)
 
 (* ---- tables ---- *)
 
@@ -59,32 +59,38 @@ let test_table_instances_well_formed () =
      >= List.length (Tables.table2_instances `Scaled))
 
 let test_run_row () =
-  let row =
-    Tables.run_row ~timeout:60.0 ~engines:[ Engines.Hdpll; Engines.Hdpll_s ]
-      ("b04", "1", 5)
+  let rows =
+    Tables.run_row ~timeout:60.0 ~section:"table2"
+      ~engines:[ Engine.Hdpll; Engine.Hdpll_s ] ("b04", "1", 5)
   in
-  Alcotest.(check string) "label" "b04_1(5)" row.Tables.t2_label;
-  check_bool "decided" true (row.Tables.t2_type = Engines.Unsat);
-  check_int "two runs" 2 (List.length row.Tables.t2_runs);
-  check_bool "op counts positive" true (row.Tables.t2_arith > 0 && row.Tables.t2_bool > 0);
-  (* the printers don't raise *)
+  Alcotest.(check (list string)) "one row per engine" [ "hdpll"; "hdpll+s" ]
+    (List.map (fun r -> r.Tables.arm) rows);
+  List.iter
+    (fun (r : Tables.row) ->
+       Alcotest.(check string) "label" "b04_1(5)" r.Tables.instance;
+       check_bool "decided" true (r.Tables.run.Engine.verdict = Engine.Unsat);
+       check_bool "op counts positive" true
+         (match (List.assoc_opt "arith_ops" r.Tables.extra,
+                 List.assoc_opt "bool_ops" r.Tables.extra) with
+          | Some (Rtlsat_obs.Json.Int a), Some (Rtlsat_obs.Json.Int b) -> a > 0 && b > 0
+          | _ -> false))
+    rows;
+  (* the pivot printer: a header and one line for the instance, one
+     time column per arm *)
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  Tables.print_table2 fmt [ row ];
+  Tables.print fmt rows;
   Format.pp_print_flush fmt ();
-  check_bool "printed something" true (Buffer.length buf > 0);
-  (* CSV form: header + one data row, engine columns present *)
-  let csv = Buffer.create 128 in
-  let fmt = Format.formatter_of_buffer csv in
-  Tables.print_table2_csv fmt [ row ];
-  Format.pp_print_flush fmt ();
-  (match String.split_on_char '\n' (Buffer.contents csv) with
-   | header :: data :: _ ->
-     Alcotest.(check string) "csv header"
-       "instance,result,arith_ops,bool_ops,hdpll,hdpll+s" header;
-     check_bool "csv row starts with label" true
-       (String.length data > 9 && String.sub data 0 9 = "b04_1(5),")
-   | _ -> Alcotest.fail "csv too short")
+  match List.rev (String.split_on_char '\n' (String.trim (Buffer.contents buf))) with
+  | data :: header :: _ ->
+    Alcotest.(check (list string)) "header names the arms"
+      [ "Test-case"; "Rslt"; "ArithOps"; "BoolOps"; "hdpll"; "hdpll+s" ]
+      (String.split_on_char ' ' header |> List.filter (( <> ) ""));
+    check_int "one cell per column" 6
+      (List.length (String.split_on_char ' ' data |> List.filter (( <> ) "")));
+    check_bool "row starts with label" true
+      (String.length data > 9 && String.sub data 0 9 = "b04_1(5) ")
+  | _ -> Alcotest.fail "pivot too short"
 
 (* ---- k-induction ---- *)
 

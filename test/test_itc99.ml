@@ -7,7 +7,7 @@ module N = Rtlsat_rtl.Netlist
 module Sim = Rtlsat_rtl.Sim
 module Registry = Rtlsat_itc99.Registry
 module Bmc = Rtlsat_bmc.Bmc
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -120,22 +120,22 @@ let test_engines_agree_on_small_instances () =
            (fun e ->
               let inst = Registry.instance ~circuit ~prop ~bound in
               let run =
-                Engines.run_instance
+                Engine.run_instance
                   ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
                   e inst
               in
-              (e, run.Engines.verdict))
-           [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Bitblast ]
+              (e, run.Engine.verdict))
+           [ Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Bitblast ]
        in
        match verdicts with
        | [] -> ()
        | (_, first) :: rest ->
          check_bool (label ^ " decided") true
-           (first = Engines.Sat || first = Engines.Unsat);
+           (first = Engine.Sat || first = Engine.Unsat);
          List.iter
            (fun (e, v) ->
               check_bool
-                (Printf.sprintf "%s: %s agrees" label (Engines.engine_name e))
+                (Printf.sprintf "%s: %s agrees" label (Engine.name_of e))
                 true (v = first))
            rest)
     small_matrix
@@ -144,23 +144,23 @@ let test_b13_40_13_is_sat () =
   (* the paper's one satisfiable b13 row *)
   let inst = Registry.instance ~circuit:"b13" ~prop:"40" ~bound:13 in
   let run =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
-      Engines.Hdpll_s inst
+      Engine.Hdpll_s inst
   in
-  check_bool "b13_40(13) sat" true (run.Engines.verdict = Engines.Sat)
+  check_bool "b13_40(13) sat" true (run.Engine.verdict = Engine.Sat)
 
 let test_b13_40_below_threshold_unsat () =
   let inst = Registry.instance ~circuit:"b13" ~prop:"40" ~bound:11 in
   let run =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
-      Engines.Hdpll inst
+      Engine.Hdpll inst
   in
-  check_bool "b13_40(11) unsat" true (run.Engines.verdict = Engines.Unsat)
+  check_bool "b13_40(11) unsat" true (run.Engine.verdict = Engine.Unsat)
 
 let test_op_counts_grow_linearly () =
-  let ops b = Engines.op_counts (Registry.instance ~circuit:"b13" ~prop:"1" ~bound:b) in
+  let ops b = Engine.op_counts (Registry.instance ~circuit:"b13" ~prop:"1" ~bound:b) in
   let a10, b10 = ops 10 and a20, b20 = ops 20 in
   check_bool "arith grows" true (a20 > a10 && a20 < 3 * a10);
   check_bool "bool grows" true (b20 > b10 && b20 < 3 * b10)

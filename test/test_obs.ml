@@ -12,8 +12,9 @@ module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Report = Rtlsat_harness.Report
+module Tables = Rtlsat_harness.Tables
 module Forensics = Rtlsat_obs.Forensics
 module Recorder = Rtlsat_obs.Recorder
 module Heartbeat = Rtlsat_obs.Heartbeat
@@ -418,13 +419,13 @@ let test_w61_stall_and_profile () =
   let path = Filename.temp_file "rtlsat_w61" ".jsonl" in
   let obs = Obs.create ~trace:(Trace.to_file path) () in
   let r =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:1.0 ~obs ~split:false ())
-      Engines.Hdpll inst
+      Engine.Hdpll inst
   in
   Obs.close obs;
-  check_bool "times out" true (r.Engines.verdict = Engines.Timeout);
-  (match r.Engines.metrics with
+  check_bool "times out" true (r.Engine.verdict = Engine.Timeout);
+  (match r.Engine.metrics with
    | Some m ->
      check_bool "stalls counted" true (m.Obs.stalls > 0);
      check_bool "icp.stalls counter in snapshot" true
@@ -464,22 +465,22 @@ let test_w61_split_cures_all_configs () =
   List.iter
     (fun engine ->
        let r =
-         Engines.run_instance
+         Engine.run_instance
            ~req:(Rtlsat_harness.Req.make ~timeout:10.0 ())
            engine inst
        in
        check_string
-         (Engines.engine_name engine ^ " sat with validated witness")
+         (Engine.name_of engine ^ " sat with validated witness")
          "S"
-         (Engines.verdict_symbol r.Engines.verdict);
-       check_bool "well under the deadline" true (r.Engines.time < 5.0);
-       match r.Engines.stats with
+         (Engine.verdict_symbol r.Engine.verdict);
+       check_bool "well under the deadline" true (r.Engine.time < 5.0);
+       match r.Engine.stats with
        | Some st ->
          (* the cure routes the stalled box through the certificate
             oracle rather than crawling to a timeout *)
          check_bool "final check ran" true (st.Solver.final_checks > 0)
        | None -> Alcotest.fail "stats missing")
-    [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Hdpll_p ]
+    [ Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Hdpll_p ]
 
 (* a root-level ICP crawl with a free Boolean in the problem: the
    suspension heuristic must take interval-split decisions (the
@@ -570,11 +571,11 @@ let test_profile_v1_warning () =
 
 (* ---- bench-diff ---- *)
 
-let row section instance engine verdict time =
+let row section instance arm verdict time =
   {
     Report.br_section = section;
     br_instance = instance;
-    br_engine = engine;
+    br_arm = arm;
     br_verdict = verdict;
     br_time = time;
   }
@@ -646,14 +647,14 @@ let test_solve_json_shape () =
   let obs = Obs.create () in
   let inst = Registry.instance ~circuit:"b01" ~prop:"1" ~bound:5 in
   let r =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ~obs ())
-      Engines.Hdpll_sp inst
+      Engine.Hdpll_sp inst
   in
   let j =
     Json.of_string
       (Json.to_string (Report.solve_json ~instance:"b01_1(5)" ~bound:5
-                         Engines.Hdpll_sp r))
+                         Engine.Hdpll_sp r))
   in
   check_bool "schema tag" true
     (Option.bind (Json.member "schema" j) Json.get_string
@@ -1231,30 +1232,103 @@ let test_trace_diff_truncated () =
 (* ---- bench-history ---- *)
 
 let mk_bench_artifact ~generated_at rows =
-  let run (engine, verdict, time) =
+  let row instance (arm, verdict, time) =
     Json.Obj
       [
-        ("engine", Json.Str engine);
+        ("section", Json.Str "table2");
+        ("instance", Json.Str instance);
+        ("arm", Json.Str arm);
         ("verdict", Json.Str verdict);
         ("time_s", Json.Float time);
       ]
   in
-  let row (instance, runs) =
-    Json.Obj
-      [
-        ("instance", Json.Str instance);
-        ("runs", Json.Arr (List.map run runs));
-      ]
-  in
   Json.Obj
     [
-      ("schema", Json.Str "rtlsat.bench/1");
+      ("schema", Json.Str "rtlsat.bench/2");
       ("generated_at", Json.Str generated_at);
-      ( "sections",
-        Json.Obj
-          [ ("table2", Json.Obj [ ("rows", Json.Arr (List.map row rows)) ]) ]
-      );
+      ( "rows",
+        Json.Arr
+          (List.concat_map
+             (fun (instance, runs) -> List.map (row instance) runs)
+             rows) );
     ]
+
+(* the writer and the reader agree on every cell *)
+let test_bench_rows_roundtrip () =
+  let run verdict time =
+    {
+      Engine.verdict;
+      time;
+      relations = 0;
+      learn_time = 0.0;
+      decisions = 1;
+      conflicts = 2;
+      stats = None;
+      metrics = None;
+    }
+  in
+  let rows =
+    [
+      { Tables.section = "table2"; instance = "b01_1(5)"; arm = "hdpll";
+        run = run Engine.Unsat 0.25;
+        extra = [ ("arith_ops", Json.Int 3); ("bool_ops", Json.Int 4) ] };
+      { Tables.section = "parallel"; instance = "b01_1(5)"; arm = "portfolio/j4";
+        run = run (Engine.Abort "witness") 1.5;
+        extra = [ ("winner", Json.Null) ] };
+    ]
+  in
+  let j =
+    Json.of_string (Json.to_string (Report.bench_json ~scale:"scaled" rows))
+  in
+  check_bool "cells survive" true
+    (Report.bench_rows j
+     = [ row "table2" "b01_1(5)" "hdpll" "unsat" 0.25;
+         row "parallel" "b01_1(5)" "portfolio/j4" "abort" 1.5 ])
+
+let contains s part =
+  let n = String.length s and k = String.length part in
+  let rec find i = i + k <= n && (String.sub s i k = part || find (i + 1)) in
+  find 0
+
+(* an artifact of the retired per-family layout (the schema's
+   previous version, rows nested under "sections") is refused with a
+   message that names the current version *)
+let test_bench_rows_reject_v1 () =
+  let schema = Report.bench_schema in
+  let v1_tag = String.sub schema 0 (String.length schema - 1) ^ "1" in
+  let v1 =
+    Json.Obj
+      [
+        ("schema", Json.Str v1_tag);
+        ("sections", Json.Obj [ ("table2", Json.Obj [ ("rows", Json.Arr []) ]) ]);
+      ]
+  in
+  (match Report.bench_rows v1 with
+   | _ -> Alcotest.fail "bench/1 accepted"
+   | exception Invalid_argument msg ->
+     check_bool "message names rtlsat.bench/2" true
+       (contains msg "rtlsat.bench/2"));
+  let missing_arm =
+    Json.Obj
+      [
+        ("schema", Json.Str "rtlsat.bench/2");
+        ( "rows",
+          Json.Arr
+            [
+              Json.Obj
+                [
+                  ("section", Json.Str "table2");
+                  ("instance", Json.Str "a");
+                  ("verdict", Json.Str "sat");
+                  ("time_s", Json.Float 1.0);
+                ];
+            ] );
+      ]
+  in
+  match Report.bench_rows missing_arm with
+  | _ -> Alcotest.fail "row without an arm accepted"
+  | exception Invalid_argument msg ->
+    check_bool "message names the field" true (contains msg "arm")
 
 let test_bench_history_aggregation () =
   let a =
@@ -1407,5 +1481,7 @@ let () =
       ( "bench-history",
         [
           Alcotest.test_case "aggregation" `Quick test_bench_history_aggregation;
+          Alcotest.test_case "rows round-trip" `Quick test_bench_rows_roundtrip;
+          Alcotest.test_case "bench/1 rejected" `Quick test_bench_rows_reject_v1;
         ] );
     ]

@@ -5,7 +5,7 @@
 
 module Parallel = Rtlsat_parallel.Parallel
 module Exchange = Rtlsat_parallel.Exchange
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Registry = Rtlsat_itc99.Registry
 module Obs = Rtlsat_obs.Obs
 module Ledger = Rtlsat_obs.Ledger
@@ -19,10 +19,10 @@ let check_int = Alcotest.(check int)
 
 let verdict_eq a b =
   match (a, b) with
-  | Engines.Sat, Engines.Sat
-  | Engines.Unsat, Engines.Unsat
-  | Engines.Timeout, Engines.Timeout -> true
-  | Engines.Abort _, Engines.Abort _ -> true
+  | Engine.Sat, Engine.Sat
+  | Engine.Unsat, Engine.Unsat
+  | Engine.Timeout, Engine.Timeout -> true
+  | Engine.Abort _, Engine.Abort _ -> true
   | _ -> false
 
 (* ---- the race primitive, rigged deterministic ---- *)
@@ -115,21 +115,21 @@ let prop_portfolio_equiv =
        let case = Gen.circuit ~cfg ~seed () in
        let req = Rtlsat_harness.Req.make ~timeout:60.0 () in
        let seq =
-         Engines.run_instance ~req Engines.Hdpll_sp (Case.instance case)
+         Engine.run_instance ~req Engine.Hdpll_sp (Case.instance case)
        in
        (* the full six-engine lineup; workers share one instance, so
           this also exercises concurrent encoding of the same unroll *)
        let p =
-         Parallel.portfolio ~req ~j:6 ~engine:Engines.Hdpll_sp
+         Parallel.portfolio ~req ~j:6 ~engine:Engine.Hdpll_sp
            (Case.instance case)
        in
-       match (seq.Engines.verdict, p.Parallel.p_run.Engines.verdict) with
-       | Engines.Sat, Engines.Sat -> true
-       | Engines.Unsat, Engines.Unsat -> true
+       match (seq.Engine.verdict, p.Parallel.p_run.Engine.verdict) with
+       | Engine.Sat, Engine.Sat -> true
+       | Engine.Unsat, Engine.Unsat -> true
        (* a Sat portfolio verdict is witness-validated inside
           run_instance; disagreement on decided verdicts is the bug
           this property exists to catch *)
-       | Engines.Timeout, _ | _, Engines.Timeout -> true
+       | Engine.Timeout, _ | _, Engine.Timeout -> true
        | _ -> false)
 
 (* ---- cube-and-conquer == sequential verdicts ---- *)
@@ -142,7 +142,7 @@ let test_cube_probe_decides () =
        let r =
          Parallel.cube_solve
            ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
-           ~j:2 ~engine:Engines.Hdpll_sp inst
+           ~j:2 ~engine:Engine.Hdpll_sp inst
        in
        check_bool
          (Printf.sprintf "%s_%s(%d) verdict" c p b)
@@ -150,7 +150,7 @@ let test_cube_probe_decides () =
          (verdict_eq r.Parallel.c_verdict expect);
        check_int (Printf.sprintf "%s_%s(%d) no cubes" c p b) 0
          r.Parallel.c_cubes)
-    [ ("b01", "1", 10, Engines.Sat); ("b02", "1", 10, Engines.Unsat) ]
+    [ ("b01", "1", 10, Engine.Sat); ("b02", "1", 10, Engine.Unsat) ]
 
 let test_cube_conquers () =
   (* a tiny probe budget forces the cube path on an instance the
@@ -160,9 +160,9 @@ let test_cube_conquers () =
   let r =
     Parallel.cube_solve
       ~req:(Rtlsat_harness.Req.make ~timeout:120.0 ())
-      ~probe_budget:0.1 ~j:2 ~engine:Engines.Hdpll_sp inst
+      ~probe_budget:0.1 ~j:2 ~engine:Engine.Hdpll_sp inst
   in
-  check_bool "verdict unsat" true (verdict_eq r.Parallel.c_verdict Engines.Unsat);
+  check_bool "verdict unsat" true (verdict_eq r.Parallel.c_verdict Engine.Unsat);
   if r.Parallel.c_cubes > 0 then begin
     check_int "all cubes refuted" r.Parallel.c_cubes r.Parallel.c_refuted;
     check_bool "cube variables nominated" true (r.Parallel.c_vars <> [])
@@ -175,19 +175,19 @@ let test_sweep_matches () =
   let p = List.assoc "1" props in
   let bounds = [ 2; 4; 6; 8; 10; 12 ] in
   let req = Rtlsat_harness.Req.make ~timeout:60.0 () in
-  let seqs = Engines.run_sweep ~req Engines.Hdpll_sp source ~prop:p ~bounds in
+  let seqs = Engine.run_sweep ~req Engine.Hdpll_sp source ~prop:p ~bounds in
   let pars =
-    Parallel.sweep ~req ~j:3 Engines.Hdpll_sp source ~prop:p ~bounds
+    Parallel.sweep ~req ~j:3 Engine.Hdpll_sp source ~prop:p ~bounds
   in
   check_int "same step count" (List.length seqs) (List.length pars);
   List.iter2
-    (fun (a : Engines.sweep_step) (b : Engines.sweep_step) ->
-       check_int "bound order preserved" a.Engines.sw_bound b.Engines.sw_bound;
+    (fun (a : Engine.sweep_step) (b : Engine.sweep_step) ->
+       check_int "bound order preserved" a.Engine.sw_bound b.Engine.sw_bound;
        check_bool
-         (Printf.sprintf "bound %d verdict" a.Engines.sw_bound)
+         (Printf.sprintf "bound %d verdict" a.Engine.sw_bound)
          true
-         (verdict_eq a.Engines.sw_run.Engines.verdict
-            b.Engines.sw_run.Engines.verdict))
+         (verdict_eq a.Engine.sw_run.Engine.verdict
+            b.Engine.sw_run.Engine.verdict))
     seqs pars
 
 (* ---- per-worker snapshots merge ---- *)

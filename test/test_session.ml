@@ -14,7 +14,7 @@ module Ir = Rtlsat_rtl.Ir
 module N = Rtlsat_rtl.Netlist
 module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Gen = Rtlsat_fuzz.Gen
 module Case = Rtlsat_fuzz.Case
 module Obs = Rtlsat_obs.Obs
@@ -154,8 +154,8 @@ let test_session_obs_counters () =
 
 let sweep_engines =
   [
-    Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Hdpll_p;
-    Engines.Bitblast;
+    Engine.Hdpll; Engine.Hdpll_s; Engine.Hdpll_sp; Engine.Hdpll_p;
+    Engine.Bitblast;
   ]
 
 let sweep_equivalence =
@@ -172,25 +172,25 @@ let sweep_equivalence =
          (fun engine ->
             let req = Rtlsat_harness.Req.make ~timeout:2.0 () in
             let steps =
-              Engines.run_sweep ~req engine case.Case.circuit
+              Engine.run_sweep ~req engine case.Case.circuit
                 ~prop:case.Case.prop ~semantics:case.Case.semantics ~bounds
             in
             List.for_all
-              (fun (step : Engines.sweep_step) ->
+              (fun (step : Engine.sweep_step) ->
                  let scratch =
-                   Engines.run_instance ~req engine
+                   Engine.run_instance ~req engine
                      (Bmc.make case.Case.circuit ~prop:case.Case.prop
-                        ~bound:step.Engines.sw_bound
+                        ~bound:step.Engine.sw_bound
                         ~semantics:case.Case.semantics ())
                  in
                  (* witness replay is built into both paths: any Abort
                     is a failure.  Timeouts never count as
                     disagreement. *)
                  match
-                   (step.Engines.sw_run.Engines.verdict, scratch.Engines.verdict)
+                   (step.Engine.sw_run.Engine.verdict, scratch.Engine.verdict)
                  with
-                 | Engines.Abort _, _ | _, Engines.Abort _ -> false
-                 | Engines.Timeout, _ | _, Engines.Timeout -> true
+                 | Engine.Abort _, _ | _, Engine.Abort _ -> false
+                 | Engine.Timeout, _ | _, Engine.Timeout -> true
                  | a, b -> a = b)
               steps)
          sweep_engines)

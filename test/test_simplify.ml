@@ -10,7 +10,7 @@ module Cdcl = Rtlsat_sat.Cdcl
 module Dimacs = Rtlsat_sat.Dimacs
 module Bitblast = Rtlsat_baselines.Bitblast
 module Solver = Rtlsat_core.Solver
-module Engines = Rtlsat_harness.Engines
+module Engine = Rtlsat_harness.Engine
 module Registry = Rtlsat_itc99.Registry
 module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
@@ -254,13 +254,13 @@ let test_hybrid_phase_instrumented () =
   let obs = Obs.create () in
   let inst = Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10 in
   let r =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:20.0 ~obs ())
-      Engines.Hdpll_sp inst
+      Engine.Hdpll_sp inst
   in
   check_bool "decided" true
-    (match r.Engines.verdict with
-     | Engines.Sat | Engines.Unsat -> true
+    (match r.Engine.verdict with
+     | Engine.Sat | Engine.Unsat -> true
      | _ -> false);
   let s = Obs.snapshot obs in
   let _, _, calls =
@@ -274,19 +274,19 @@ let test_engine_simplify_off_matches_seed_behaviour () =
      code path for a deterministic instance *)
   let inst () = Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10 in
   let off =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ~simplify:false ())
-      Engines.Hdpll_sp (inst ())
+      Engine.Hdpll_sp (inst ())
   in
   let on =
-    Engines.run_instance
+    Engine.run_instance
       ~req:(Rtlsat_harness.Req.make ~timeout:60.0 ())
-      Engines.Hdpll_sp (inst ())
+      Engine.Hdpll_sp (inst ())
   in
   check_string "verdicts equal"
-    (Engines.verdict_symbol off.Engines.verdict)
-    (Engines.verdict_symbol on.Engines.verdict);
-  check_bool "off arm decided" true (off.Engines.verdict = Engines.Unsat)
+    (Engine.verdict_symbol off.Engine.verdict)
+    (Engine.verdict_symbol on.Engine.verdict);
+  check_bool "off arm decided" true (off.Engine.verdict = Engine.Unsat)
 
 (* ---- the lock-in property: simplify on/off verdict agreement ---- *)
 
@@ -303,7 +303,7 @@ let simplify_verdict_agreement =
          Gen.circuit ~seed ~cfg:{ Gen.default with Gen.max_nodes = 10 } ()
        in
        let inst = Case.instance case in
-       let module E = Engines in
+       let module E = Engine in
        let run simplify engine =
          (E.run_instance
             ~req:(Rtlsat_harness.Req.make ~timeout:2.0 ~simplify ())
