@@ -17,9 +17,10 @@ type instance = {
    unrolls frame 0 exactly once.  Keyed by physical circuit equality
    (a rebuilt, structurally identical circuit gets a fresh unroll, so
    callers that mutate their source are unaffected) AND by property,
-   because encoders encode every node present: sharing one unroll
-   across properties would make each instance's encoded problem absorb
-   the violation logic of whatever ran before it, perturbing variable
+   because an unroll copies only its property's cone, and encoders
+   encode every node present: sharing one unroll across properties
+   would make each instance's encoded problem absorb the cone and
+   violation logic of whatever ran before it, perturbing variable
    numbering and hence search order between a batch run and a solo
    run of the same instance.  Small cap so fuzzing's thousands of
    throwaway circuits don't pile up. *)
@@ -61,9 +62,9 @@ let shared_unroll source ~prop ~frames =
        instance pay for frames it never constrains.  An exact-depth
        private unroll keeps the problem at the instance's own size;
        the deeper entry stays cached for its own ladder. *)
-    Unroll.unroll source ~frames
+    Unroll.unroll source ~roots:[ prop ] ~frames
   | None ->
-    let u = Unroll.unroll source ~frames in
+    let u = Unroll.unroll source ~roots:[ prop ] ~frames in
     let keep = List.filteri (fun i _ -> i < unroll_cache_cap - 1) !unroll_cache in
     unroll_cache := (key, u) :: keep;
     u
@@ -128,7 +129,7 @@ let sweep source ~prop ?(semantics = Final) () =
     sw_source = source;
     sw_prop = prop;
     sw_semantics = semantics;
-    sw_unrolled = Unroll.unroll source ~frames:1;
+    sw_unrolled = Unroll.unroll source ~roots:[ prop ] ~frames:1;
     sw_selectors = Hashtbl.create 16;
   }
 

@@ -21,13 +21,17 @@ type instance = {
   bound : int;
   semantics : semantics;
   unrolled : Unroll.t;
+      (** only [prop]'s sequential cone is copied, plus every primary
+          input in every frame; frames are hash-consed, so
+          [Unroll.node_at] for two frames may return the same shared
+          node *)
   violation : Ir.node;  (** Boolean node of the unrolled circuit that
                             is 1 iff the property is violated *)
 }
 
 val make : Ir.circuit -> prop:Ir.node -> bound:int -> ?semantics:semantics -> unit -> instance
-(** Unrolls the circuit and builds the violation objective.  Default
-    semantics: [Final].
+(** Unrolls the property's cone (see {!Unroll}) and builds the
+    violation objective.  Default semantics: [Final].
 
     Repeated calls on the {e same physical} circuit and property share
     one unroll, extended frame-incrementally — an ascending bound
@@ -53,7 +57,8 @@ val sweep : Ir.circuit -> prop:Ir.node -> ?semantics:semantics -> unit -> sweep
     semantics: [Final]. *)
 
 val sweep_unrolled : sweep -> Unroll.t
-(** The shared unroll; grows as bounds are requested. *)
+(** The shared unroll of the property's cone; grows as bounds are
+    requested. *)
 
 val sweep_violation : sweep -> bound:int -> Ir.node
 (** The violation selector for [bound]: extends the unroll to [bound]
@@ -69,5 +74,6 @@ val witness_ok : instance -> (Ir.node -> int) -> bool
 (** [witness_ok inst value] replays a model of the *unrolled* circuit
     (queried per unrolled node by [value]) through the sequential
     simulator and confirms that the property is indeed violated at the
-    frame the semantics requires.  This validates SAT answers
-    end-to-end against the RTL. *)
+    frame the semantics requires.  Every source input has an image in
+    every frame, inside the cone or not, so the replay drives the full
+    source.  This validates SAT answers end-to-end against the RTL. *)

@@ -1,13 +1,14 @@
 open Rtlsat_rtl
 
 type t = {
-  combo : Ir.circuit;
+  build : Opt.t;
   source : Ir.circuit;
+  copied : Ir.node list;  (* the roots' sequential cone and every input *)
   mutable frames : int;
   map : (int * int, Ir.node) Hashtbl.t;
 }
 
-let combo u = u.combo
+let combo u = Opt.circuit u.build
 let source u = u.source
 let frames u = u.frames
 
@@ -18,73 +19,51 @@ let input_at u n f =
   | Ir.Input -> node_at u n f
   | _ -> invalid_arg "Unroll.input_at: not a primary input"
 
-let copy_node ~free_init combo map f n =
-  let get n f = Hashtbl.find map (n.Ir.id, f) in
+let copy_node ~free_init u f n =
   let name = Option.map (fun s -> Printf.sprintf "%s@%d" s f) n.Ir.name in
-  let fresh =
+  let image =
     match n.Ir.op with
-    | Ir.Input -> Netlist.input combo ?name n.Ir.width
-    | Ir.Const v -> Netlist.const combo ~width:n.Ir.width v
-    | Ir.Reg r ->
-      if f = 0 then begin
-        if free_init then
-          (* arbitrary initial state: the induction step starts from
-             any state, not just reset *)
-          Netlist.input combo
-            ?name:(Option.map (fun s -> s ^ "@init") n.Ir.name)
-            n.Ir.width
-        else Netlist.const combo ~width:n.Ir.width r.Ir.init
-      end
-      else begin
-        match r.Ir.next with
-        | None -> invalid_arg "Unroll.unroll: unconnected register"
-        | Some nx -> get nx (f - 1)
-      end
-    | Ir.Not a -> Netlist.not_ combo (get a f)
-    | Ir.And ns ->
-      Netlist.and_ combo ?name (Array.to_list (Array.map (fun m -> get m f) ns))
-    | Ir.Or ns ->
-      Netlist.or_ combo ?name (Array.to_list (Array.map (fun m -> get m f) ns))
-    | Ir.Xor (a, b) -> Netlist.xor_ combo (get a f) (get b f)
-    | Ir.Mux { sel; t; e } ->
-      Netlist.mux combo ?name ~sel:(get sel f) ~t:(get t f) ~e:(get e f) ()
-    | Ir.Add { a; b; wrap } ->
-      if wrap then Netlist.add combo (get a f) (get b f)
-      else Netlist.add_ext combo (get a f) (get b f)
-    | Ir.Sub { a; b } -> Netlist.sub combo (get a f) (get b f)
-    | Ir.Mul_const { k; a } -> Netlist.mul_const combo k (get a f)
-    | Ir.Cmp { op; a; b } -> Netlist.cmp combo ?name op (get a f) (get b f)
-    | Ir.Concat { hi; lo } -> Netlist.concat combo ~hi:(get hi f) ~lo:(get lo f)
-    | Ir.Extract { a; msb; lsb } -> Netlist.extract combo (get a f) ~msb ~lsb
-    | Ir.Zext a -> Netlist.zext combo (get a f) ~width:n.Ir.width
-    | Ir.Shl { a; k } -> Netlist.shl combo (get a f) k
-    | Ir.Shr { a; k } -> Netlist.shr combo (get a f) k
-    | Ir.Bitand (a, b) -> Netlist.bitand combo (get a f) (get b f)
-    | Ir.Bitor (a, b) -> Netlist.bitor combo (get a f) (get b f)
-    | Ir.Bitxor (a, b) -> Netlist.bitxor combo (get a f) (get b f)
+    | Ir.Input -> Netlist.input (combo u) ?name n.Ir.width
+    | Ir.Reg r when f = 0 ->
+      if free_init then
+        (* arbitrary initial state: the induction step starts from
+           any state, not just reset *)
+        Netlist.input (combo u)
+          ?name:(Option.map (fun s -> s ^ "@init") n.Ir.name)
+          n.Ir.width
+      else Opt.const u.build ~width:n.Ir.width r.Ir.init
+    | Ir.Reg { next = Some nx; _ } -> node_at u nx (f - 1)
+    | Ir.Reg { next = None; _ } -> invalid_arg "Unroll.unroll: unconnected register"
+    | _ -> Opt.copy u.build ?name n (fun m -> node_at u m f)
   in
-  Hashtbl.replace map (n.Ir.id, f) fresh
+  Hashtbl.replace u.map (n.Ir.id, f) image
 
-(* copy frames [lo..hi-1] and register the outputs of frame hi-1
-   (names carry the frame, so successive extensions never clash) *)
+(* copy frames [lo..hi-1] and register the copied outputs of frame
+   hi-1 (names carry the frame, so successive extensions never clash) *)
 let add_frames ~free_init u lo hi =
-  let nodes = Ir.nodes u.source in
   for f = lo to hi - 1 do
-    List.iter (copy_node ~free_init u.combo u.map f) nodes
+    List.iter (copy_node ~free_init u f) u.copied
   done;
   List.iter
     (fun (oname, n) ->
-       Netlist.output u.combo
-         (Printf.sprintf "%s@%d" oname (hi - 1))
-         (Hashtbl.find u.map (n.Ir.id, hi - 1)))
+       match Hashtbl.find_opt u.map (n.Ir.id, hi - 1) with
+       | Some m -> Netlist.output (combo u) (Printf.sprintf "%s@%d" oname (hi - 1)) m
+       | None -> ())
     u.source.Ir.outputs
 
-let unroll ?(free_init = false) source ~frames =
+let unroll ?(free_init = false) source ~roots ~frames =
   if frames < 1 then invalid_arg "Unroll.unroll: frames < 1";
+  let cone = Structure.coi source roots in
+  let copied =
+    List.filter
+      (fun n -> match n.Ir.op with Ir.Input -> true | _ -> cone.(n.Ir.id))
+      (Ir.nodes source)
+  in
   let u =
     {
-      combo = Netlist.create (source.Ir.cname ^ "_u" ^ string_of_int frames);
+      build = Opt.create (source.Ir.cname ^ "_u" ^ string_of_int frames);
       source;
+      copied;
       frames;
       map = Hashtbl.create 1024;
     }

@@ -20,7 +20,7 @@ let base_case options circuit prop k =
 let step_case options circuit prop k =
   (* frames 0..k from an arbitrary state; prop holds in 0..k-1 and
      fails in frame k *)
-  let u = Unroll.unroll ~free_init:true circuit ~frames:(k + 1) in
+  let u = Unroll.unroll ~free_init:true circuit ~roots:[ prop ] ~frames:(k + 1) in
   let enc = E.encode (Unroll.combo u) in
   for f = 0 to k - 1 do
     E.assume_bool enc (Unroll.node_at u prop f) true

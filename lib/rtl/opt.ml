@@ -1,261 +1,175 @@
 open Ir
 
-type mapping = {
-  optimized : circuit;
-  fwd : node -> node;
-}
+(* structural key: an operator tag, then parameters and operand ids *)
+type t = { dst : circuit; table : (int array, node) Hashtbl.t }
 
-let node_count c = c.ncount
+let create name = { dst = Netlist.create name; table = Hashtbl.create 1024 }
+let circuit b = b.dst
 
 let cvalue n = match n.op with Const v -> Some v | _ -> None
 let is_const v n = cvalue n = Some v
 
 let mask w = (1 lsl w) - 1
 
-let simplify source =
-  let dst = Netlist.create source.cname in
-  let image : node option array = Array.make source.ncount None in
-  let hash : (string, node) Hashtbl.t = Hashtbl.create 256 in
-  (* reachable from outputs and register next-state functions *)
-  let keep = Array.make source.ncount false in
-  let rec mark n =
-    if not keep.(n.id) then begin
-      keep.(n.id) <- true;
-      List.iter mark (fanins n)
-    end
-  in
-  List.iter (fun (_, n) -> mark n) source.outputs;
-  List.iter
-    (fun n ->
-       mark n;
-       match n.op with Reg { next = Some nx; _ } -> mark nx | _ -> ())
-    (regs source);
-  List.iter (fun n -> keep.(n.id) <- true) (inputs source);
-  (* interning: structural hashing of every freshly built node *)
-  let interned key build =
-    match Hashtbl.find_opt hash key with
-    | Some n -> n
-    | None ->
-      let n = build () in
-      Hashtbl.replace hash key n;
-      n
-  in
-  let const w v = interned (Printf.sprintf "c%d_%d" w v) (fun () -> Netlist.const dst ~width:w v) in
-  let key1 tag a = Printf.sprintf "%s %d" tag a.id in
-  let key2 tag a b = Printf.sprintf "%s %d %d" tag a.id b.id in
-  let keyn tag ns =
-    tag ^ String.concat "," (List.map (fun n -> string_of_int n.id) ns)
-  in
-  (* simplifying constructors over already-optimized operands *)
-  let mk_not a =
-    match (cvalue a, a.op) with
-    | Some v, _ -> const 1 (1 - v)
-    | None, Not inner -> inner
-    | None, _ -> interned (key1 "not" a) (fun () -> Netlist.not_ dst a)
-  in
-  let mk_and ns =
-    if List.exists (is_const 0) ns then const 1 0
-    else begin
-      let ns =
-        List.filter (fun n -> not (is_const 1 n)) ns
-        |> List.sort_uniq (fun a b -> compare a.id b.id)
-      in
-      match ns with
-      | [] -> const 1 1
-      | [ n ] -> n
-      | _ -> interned (keyn "and" ns) (fun () -> Netlist.and_ dst ns)
-    end
-  in
-  let mk_or ns =
-    if List.exists (is_const 1) ns then const 1 1
-    else begin
-      let ns =
-        List.filter (fun n -> not (is_const 0 n)) ns
-        |> List.sort_uniq (fun a b -> compare a.id b.id)
-      in
-      match ns with
-      | [] -> const 1 0
-      | [ n ] -> n
-      | _ -> interned (keyn "or" ns) (fun () -> Netlist.or_ dst ns)
-    end
-  in
-  let mk_xor a b =
-    match (cvalue a, cvalue b) with
-    | Some va, Some vb -> const 1 (va lxor vb)
-    | _ when a.id = b.id -> const 1 0
-    | Some 0, None -> b
-    | Some 1, None -> mk_not b
-    | None, Some 0 -> a
-    | None, Some 1 -> mk_not a
-    | _ ->
-      let a, b = if a.id <= b.id then (a, b) else (b, a) in
-      interned (key2 "xor" a b) (fun () -> Netlist.xor_ dst a b)
-  in
-  let mk_mux sel t e =
-    if t.id = e.id then t
-    else begin
-      match cvalue sel with
-      | Some 1 -> t
-      | Some 0 -> e
-      | _ ->
-        if t.width = 1 && is_const 1 t && is_const 0 e then sel
-        else if t.width = 1 && is_const 0 t && is_const 1 e then mk_not sel
-        else
-          interned
-            (Printf.sprintf "mux %d %d %d" sel.id t.id e.id)
-            (fun () -> Netlist.mux dst ~sel ~t ~e ())
-    end
-  in
-  let mk_add ~wrap a b w =
-    match (cvalue a, cvalue b) with
-    | Some va, Some vb ->
-      let s = va + vb in
-      const w (if wrap then s land mask w else s)
-    | Some 0, None when wrap -> b
-    | None, Some 0 when wrap -> a
-    | _ ->
-      let a, b = if a.id <= b.id then (a, b) else (b, a) in
-      interned
-        (key2 (if wrap then "add" else "addext") a b)
-        (fun () -> if wrap then Netlist.add dst a b else Netlist.add_ext dst a b)
-  in
-  let mk_sub a b w =
-    match (cvalue a, cvalue b) with
-    | Some va, Some vb -> const w ((va - vb) land mask w)
-    | None, Some 0 -> a
-    | _ when a.id = b.id -> const w 0
-    | _ -> interned (key2 "sub" a b) (fun () -> Netlist.sub dst a b)
-  in
-  let mk_mulc k a w =
-    match cvalue a with
-    | Some va -> const w (k * va)
-    | None ->
-      if k = 1 then a
-      else interned (Printf.sprintf "mulc%d %d" k a.id) (fun () -> Netlist.mul_const dst k a)
-  in
-  let mk_cmp op a b =
-    let cmp_tag =
-      match op with
-      | Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge"
+let interned b key build =
+  match Hashtbl.find_opt b.table key with
+  | Some n -> n
+  | None ->
+    let n = build b.dst in
+    Hashtbl.add b.table key n;
+    n
+
+let const b ~width v = interned b [| 0; width; v |] (fun dst -> Netlist.const dst ~width v)
+
+(* commutative operands in id order *)
+let ordered a b = if a.id <= b.id then (a, b) else (b, a)
+
+let mk_not b a =
+  match (cvalue a, a.op) with
+  | Some v, _ -> const b ~width:1 (1 - v)
+  | None, Not inner -> inner
+  | None, _ -> interned b [| 1; a.id |] (fun dst -> Netlist.not_ dst a)
+
+(* And (tag 2, absorbing 0) and Or (tag 3, absorbing 1) *)
+let mk_nary b tag ~absorbing mk ns =
+  if List.exists (is_const absorbing) ns then const b ~width:1 absorbing
+  else begin
+    let ns =
+      List.filter (fun n -> not (is_const (1 - absorbing) n)) ns
+      |> List.sort_uniq (fun x y -> compare x.id y.id)
     in
-    match (cvalue a, cvalue b) with
-    | Some va, Some vb ->
-      let r =
-        match op with
-        | Eq -> va = vb | Ne -> va <> vb | Lt -> va < vb
-        | Le -> va <= vb | Gt -> va > vb | Ge -> va >= vb
-      in
-      const 1 (if r then 1 else 0)
-    | _ when a.id = b.id ->
-      const 1 (match op with Eq | Le | Ge -> 1 | Ne | Lt | Gt -> 0)
-    | _ -> interned (key2 cmp_tag a b) (fun () -> Netlist.cmp dst op a b)
-  in
-  let mk_concat hi lo w =
-    match (cvalue hi, cvalue lo) with
-    | Some vh, Some vl -> const w ((vh lsl lo.width) lor vl)
-    | _ -> interned (key2 "concat" hi lo) (fun () -> Netlist.concat dst ~hi ~lo)
-  in
-  let mk_extract a msb lsb =
-    if lsb = 0 && msb = a.width - 1 then a
-    else begin
-      match cvalue a with
-      | Some v -> const (msb - lsb + 1) ((v lsr lsb) land mask (msb - lsb + 1))
-      | None ->
-        interned
-          (Printf.sprintf "ex %d %d %d" a.id msb lsb)
-          (fun () -> Netlist.extract dst a ~msb ~lsb)
-    end
-  in
-  let mk_zext a w =
-    match cvalue a with
-    | Some v -> const w v
-    | None -> interned (Printf.sprintf "zx %d %d" a.id w) (fun () -> Netlist.zext dst a ~width:w)
-  in
-  let mk_shl a k w =
-    match cvalue a with
-    | Some v -> const w (v lsl k)
-    | None -> interned (Printf.sprintf "shl %d %d" a.id k) (fun () -> Netlist.shl dst a k)
-  in
-  let mk_shr a k w =
-    match cvalue a with
-    | Some v -> const w (v lsr k)
-    | None -> interned (Printf.sprintf "shr %d %d" a.id k) (fun () -> Netlist.shr dst a k)
-  in
-  let mk_bitwise tag f fold a b w =
-    match (cvalue a, cvalue b) with
-    | Some va, Some vb -> const w (fold va vb)
-    | _ when a.id = b.id && tag <> "bxor" -> a
-    | _ when a.id = b.id -> const w 0
+    match ns with
+    | [] -> const b ~width:1 (1 - absorbing)
+    | [ n ] -> n
     | _ ->
-      let a, b = if a.id <= b.id then (a, b) else (b, a) in
-      interned (key2 tag a b) (fun () -> f a b)
-  in
-  (* pass 1: register shells (their next inputs are connected later) *)
-  List.iter
-    (fun n ->
-       match n.op with
-       | Reg r ->
-         let shell = Netlist.reg dst ?name:n.name ~width:n.width ~init:r.init () in
-         image.(n.id) <- Some shell
-       | _ -> ())
-    (nodes source);
-  (* pass 2: rebuild every kept node in topological order *)
-  let img n =
-    match image.(n.id) with
-    | Some m -> m
-    | None -> invalid_arg "Opt.simplify: operand not yet rebuilt"
-  in
-  List.iter
-    (fun n ->
-       if keep.(n.id) && image.(n.id) = None then begin
-         let m =
-           match n.op with
-           | Reg _ -> assert false
-           | Input ->
-             let m = Netlist.input dst ?name:n.name n.width in
-             m
-           | Const v -> const n.width v
-           | Not a -> mk_not (img a)
-           | And ns -> mk_and (Array.to_list (Array.map img ns))
-           | Or ns -> mk_or (Array.to_list (Array.map img ns))
-           | Xor (a, b) -> mk_xor (img a) (img b)
-           | Mux { sel; t; e } -> mk_mux (img sel) (img t) (img e)
-           | Add { a; b; wrap } -> mk_add ~wrap (img a) (img b) n.width
-           | Sub { a; b } -> mk_sub (img a) (img b) n.width
-           | Mul_const { k; a } -> mk_mulc k (img a) n.width
-           | Cmp { op; a; b } -> mk_cmp op (img a) (img b)
-           | Concat { hi; lo } -> mk_concat (img hi) (img lo) n.width
-           | Extract { a; msb; lsb } -> mk_extract (img a) msb lsb
-           | Zext a -> mk_zext (img a) n.width
-           | Shl { a; k } -> mk_shl (img a) k n.width
-           | Shr { a; k } -> mk_shr (img a) k n.width
-           | Bitand (a, b) ->
-             mk_bitwise "band" (fun a b -> Netlist.bitand dst a b) ( land ) (img a)
-               (img b) n.width
-           | Bitor (a, b) ->
-             mk_bitwise "bor" (fun a b -> Netlist.bitor dst a b) ( lor ) (img a)
-               (img b) n.width
-           | Bitxor (a, b) ->
-             mk_bitwise "bxor" (fun a b -> Netlist.bitxor dst a b) ( lxor ) (img a)
-               (img b) n.width
-         in
-         (match n.name with Some s -> Netlist.set_name m s | None -> ());
-         image.(n.id) <- Some m
-       end)
-    (nodes source);
-  (* pass 3: connect registers and rebuild outputs *)
-  List.iter
-    (fun n ->
-       match n.op with
-       | Reg { next = Some nx; _ } -> Netlist.connect (img n) (img nx)
-       | _ -> ())
-    (regs source);
-  List.iter
-    (fun (port, n) -> Netlist.output dst port (img n))
-    (List.rev source.outputs);
-  let fwd n =
-    match image.(n.id) with
-    | Some m -> m
-    | None -> raise Not_found
-  in
-  { optimized = dst; fwd }
+      interned b
+        (Array.of_list (tag :: List.map (fun n -> n.id) ns))
+        (fun dst -> mk dst ns)
+  end
+
+let mk_xor b x y =
+  match (cvalue x, cvalue y) with
+  | Some vx, Some vy -> const b ~width:1 (vx lxor vy)
+  | _ when x.id = y.id -> const b ~width:1 0
+  | Some 0, None -> y
+  | Some 1, None -> mk_not b y
+  | None, Some 0 -> x
+  | None, Some 1 -> mk_not b x
+  | _ ->
+    let x, y = ordered x y in
+    interned b [| 4; x.id; y.id |] (fun dst -> Netlist.xor_ dst x y)
+
+let mk_mux b sel t e =
+  if t.id = e.id then t
+  else begin
+    match cvalue sel with
+    | Some 1 -> t
+    | Some 0 -> e
+    | _ ->
+      if t.width = 1 && is_const 1 t && is_const 0 e then sel
+      else if t.width = 1 && is_const 0 t && is_const 1 e then mk_not b sel
+      else
+        interned b [| 5; sel.id; t.id; e.id |] (fun dst -> Netlist.mux dst ~sel ~t ~e ())
+  end
+
+let mk_add b ~wrap x y w =
+  match (cvalue x, cvalue y) with
+  | Some vx, Some vy ->
+    let s = vx + vy in
+    const b ~width:w (if wrap then s land mask w else s)
+  | Some 0, None when wrap -> y
+  | None, Some 0 when wrap -> x
+  | _ ->
+    let x, y = ordered x y in
+    if wrap then interned b [| 6; x.id; y.id |] (fun dst -> Netlist.add dst x y)
+    else interned b [| 7; x.id; y.id |] (fun dst -> Netlist.add_ext dst x y)
+
+let mk_sub b x y w =
+  match (cvalue x, cvalue y) with
+  | Some vx, Some vy -> const b ~width:w ((vx - vy) land mask w)
+  | None, Some 0 -> x
+  | _ when x.id = y.id -> const b ~width:w 0
+  | _ -> interned b [| 8; x.id; y.id |] (fun dst -> Netlist.sub dst x y)
+
+let mk_mulc b k a w =
+  match cvalue a with
+  | Some v -> const b ~width:w (k * v)
+  | None when k = 1 -> a
+  | None -> interned b [| 9; k; a.id |] (fun dst -> Netlist.mul_const dst k a)
+
+let cmp_code = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+let mk_cmp b op x y =
+  match (cvalue x, cvalue y) with
+  | Some vx, Some vy ->
+    let r =
+      match op with
+      | Eq -> vx = vy | Ne -> vx <> vy | Lt -> vx < vy
+      | Le -> vx <= vy | Gt -> vx > vy | Ge -> vx >= vy
+    in
+    const b ~width:1 (if r then 1 else 0)
+  | _ when x.id = y.id ->
+    const b ~width:1 (match op with Eq | Le | Ge -> 1 | Ne | Lt | Gt -> 0)
+  | _ -> interned b [| 10; cmp_code op; x.id; y.id |] (fun dst -> Netlist.cmp dst op x y)
+
+let mk_concat b hi lo w =
+  match (cvalue hi, cvalue lo) with
+  | Some vh, Some vl -> const b ~width:w ((vh lsl lo.width) lor vl)
+  | _ -> interned b [| 11; hi.id; lo.id |] (fun dst -> Netlist.concat dst ~hi ~lo)
+
+let mk_extract b a msb lsb =
+  if lsb = 0 && msb = a.width - 1 then a
+  else begin
+    match cvalue a with
+    | Some v -> const b ~width:(msb - lsb + 1) ((v lsr lsb) land mask (msb - lsb + 1))
+    | None ->
+      interned b [| 12; a.id; msb; lsb |] (fun dst -> Netlist.extract dst a ~msb ~lsb)
+  end
+
+(* zero extension and shifts: fold a constant operand, otherwise hash *)
+let mk_unary b tag a param w fold mk =
+  match cvalue a with
+  | Some v -> const b ~width:w (fold v)
+  | None -> interned b [| tag; a.id; param |] (fun dst -> mk dst a)
+
+let mk_bitwise b tag fold mk x y w =
+  match (cvalue x, cvalue y) with
+  | Some vx, Some vy -> const b ~width:w (fold vx vy)
+  | _ when x.id = y.id -> if tag = 18 then const b ~width:w 0 else x
+  | _ ->
+    let x, y = ordered x y in
+    interned b [| tag; x.id; y.id |] (fun dst -> mk dst x y)
+
+let build b n img =
+  let w = n.width in
+  let imgs ns = Array.to_list (Array.map img ns) in
+  match n.op with
+  | Input | Reg _ -> invalid_arg "Opt.copy: input or register"
+  | Const v -> const b ~width:w v
+  | Not a -> mk_not b (img a)
+  | And ns -> mk_nary b 2 ~absorbing:0 (fun dst ns -> Netlist.and_ dst ns) (imgs ns)
+  | Or ns -> mk_nary b 3 ~absorbing:1 (fun dst ns -> Netlist.or_ dst ns) (imgs ns)
+  | Xor (x, y) -> mk_xor b (img x) (img y)
+  | Mux { sel; t; e } -> mk_mux b (img sel) (img t) (img e)
+  | Add { a; b = y; wrap } -> mk_add b ~wrap (img a) (img y) w
+  | Sub { a; b = y } -> mk_sub b (img a) (img y) w
+  | Mul_const { k; a } -> mk_mulc b k (img a) w
+  | Cmp { op; a; b = y } -> mk_cmp b op (img a) (img y)
+  | Concat { hi; lo } -> mk_concat b (img hi) (img lo) w
+  | Extract { a; msb; lsb } -> mk_extract b (img a) msb lsb
+  | Zext a -> mk_unary b 13 (img a) w w Fun.id (fun dst a -> Netlist.zext dst a ~width:w)
+  | Shl { a; k } ->
+    mk_unary b 14 (img a) k w (fun v -> v lsl k) (fun dst a -> Netlist.shl dst a k)
+  | Shr { a; k } ->
+    mk_unary b 15 (img a) k w (fun v -> v lsr k) (fun dst a -> Netlist.shr dst a k)
+  | Bitand (x, y) -> mk_bitwise b 16 ( land ) Netlist.bitand (img x) (img y) w
+  | Bitor (x, y) -> mk_bitwise b 17 ( lor ) Netlist.bitor (img x) (img y) w
+  | Bitxor (x, y) -> mk_bitwise b 18 ( lxor ) Netlist.bitxor (img x) (img y) w
+
+let copy b ?name n img =
+  let fresh_from = b.dst.ncount in
+  let m = build b n img in
+  (match name with
+   | Some s when m.id >= fresh_from && cvalue m = None -> Netlist.set_name m s
+   | _ -> ());
+  m

@@ -34,3 +34,16 @@ let to_alcotest test =
   (name, speed, run)
 
 let qsuite name tests = (name, List.map to_alcotest tests)
+
+(* Every committed regression case, as (file, case) in file order.
+   dune runtest runs the suites next to the corpus; under `dune exec`
+   fall back to the directory holding the test binary. *)
+let corpus_cases () =
+  let dir =
+    if Sys.file_exists "corpus" then "corpus"
+    else Filename.concat (Filename.dirname Sys.executable_name) "corpus"
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".rtl")
+  |> List.sort compare
+  |> List.map (fun f -> (f, Rtlsat_fuzz.Case.of_file (Filename.concat dir f)))

@@ -7,6 +7,9 @@ module Unroll = Rtlsat_bmc.Unroll
 module Bmc = Rtlsat_bmc.Bmc
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
+module Case = Rtlsat_fuzz.Case
+module Gen = Rtlsat_fuzz.Gen
+module Registry = Rtlsat_itc99.Registry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -22,8 +25,8 @@ let build_counter () =
   (c, en, cnt, at5)
 
 let test_unroll_structure () =
-  let c, en, cnt, _ = build_counter () in
-  let u = Unroll.unroll c ~frames:4 in
+  let c, en, cnt, at5 = build_counter () in
+  let u = Unroll.unroll c ~roots:[ at5 ] ~frames:4 in
   check_int "frames" 4 (Unroll.frames u);
   (* 4 copies of the input *)
   check_int "inputs" 4 (List.length (Ir.inputs (Unroll.combo u)));
@@ -39,7 +42,7 @@ let test_unroll_matches_sequential_sim () =
      trace and compare every frame against the sequential simulator *)
   let c, en, cnt, at5 = build_counter () in
   let frames = 9 in
-  let u = Unroll.unroll c ~frames in
+  let u = Unroll.unroll c ~roots:[ at5 ] ~frames in
   let trace = [ 1; 1; 0; 1; 1; 1; 0; 1; 1 ] in
   let combo = Unroll.combo u in
   let combo_inputs =
@@ -61,13 +64,75 @@ let test_unroll_matches_sequential_sim () =
 
 let test_unroll_rejects () =
   let c = N.create "bad" in
-  let _ = N.reg c ~width:2 ~init:0 () in
+  let r = N.reg c ~width:2 ~init:0 () in
   Alcotest.check_raises "unconnected"
     (Invalid_argument "Unroll.unroll: unconnected register") (fun () ->
-        ignore (Unroll.unroll c ~frames:2));
-  let c2, _, _, _ = build_counter () in
+        ignore (Unroll.unroll c ~roots:[ r ] ~frames:2));
+  let c2, _, _, at5 = build_counter () in
   Alcotest.check_raises "frames<1" (Invalid_argument "Unroll.unroll: frames < 1")
-    (fun () -> ignore (Unroll.unroll c2 ~frames:0))
+    (fun () -> ignore (Unroll.unroll c2 ~roots:[ at5 ] ~frames:0))
+
+(* ---- the unrolled cone against the sequential simulator ---- *)
+
+let random_value rng w = Int64.to_int (Random.State.int64 rng (Int64.shift_left 1L w))
+
+(* One random input trace: [Sim] on the unrolled circuit must give the
+   property the value [Sim.run] gives it on the source, at every frame,
+   and every source input — inside the cone or not — must have its own
+   fresh image in every frame.  A dropped input raises [Not_found]
+   from [input_at]; a wrong fold shows as a value mismatch. *)
+let check_unroll_vs_sim ~label rng c prop ~frames =
+  let u = Unroll.unroll c ~roots:[ prop ] ~frames in
+  let combo = Unroll.combo u in
+  let inputs = Ir.inputs c in
+  check_int (label ^ " one image per input and frame")
+    (frames * List.length inputs)
+    (List.length (Ir.inputs combo));
+  check_bool (label ^ " no node growth") true (combo.Ir.ncount <= frames * c.Ir.ncount);
+  let trace =
+    List.init frames (fun _ ->
+        List.map (fun n -> (n, random_value rng n.Ir.width)) inputs)
+  in
+  let combo_inputs =
+    List.concat
+      (List.mapi
+         (fun f step -> List.map (fun (n, v) -> (Unroll.input_at u n f, v)) step)
+         trace)
+  in
+  let vals = Sim.eval combo (Sim.initial_state combo) ~inputs:combo_inputs in
+  List.iteri
+    (fun f seq ->
+       check_int
+         (Printf.sprintf "%s prop frame %d" label f)
+         (Sim.value seq prop)
+         (Sim.value vals (Unroll.node_at u prop f)))
+    (Sim.run c ~inputs:trace)
+
+let test_unroll_vs_sim_corpus () =
+  let rng = Random.State.make [| 42 |] in
+  List.iter
+    (fun (file, case) ->
+       for _ = 1 to 4 do
+         check_unroll_vs_sim ~label:file rng case.Case.circuit case.Case.prop
+           ~frames:(case.Case.bound + 3)
+       done)
+    (Qutil.corpus_cases ())
+
+let test_unroll_vs_sim_generated () =
+  let rng = Random.State.make [| 42 |] in
+  for _ = 1 to 150 do
+    let seed = Random.State.bits rng in
+    let case = Gen.circuit ~seed () in
+    check_unroll_vs_sim
+      ~label:(Printf.sprintf "gen seed %d" seed)
+      rng case.Case.circuit case.Case.prop ~frames:(case.Case.bound + 3)
+  done
+
+let test_unroll_cone_smaller () =
+  (* every source node in every frame gives 19,210 nodes here *)
+  let inst = Registry.instance ~circuit:"b13" ~prop:"8" ~bound:200 in
+  let n = (Unroll.combo inst.Bmc.unrolled).Ir.ncount in
+  check_bool (Printf.sprintf "b13_8(200) combo has %d < 19210 nodes" n) true (n < 19210)
 
 let solve_instance inst =
   let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
@@ -135,6 +200,10 @@ let () =
           Alcotest.test_case "matches sequential sim" `Quick
             test_unroll_matches_sequential_sim;
           Alcotest.test_case "rejects bad input" `Quick test_unroll_rejects;
+          Alcotest.test_case "cone = sim on the corpus" `Quick test_unroll_vs_sim_corpus;
+          Alcotest.test_case "cone = sim on generated circuits" `Quick
+            test_unroll_vs_sim_generated;
+          Alcotest.test_case "b13_8(200) cone is smaller" `Quick test_unroll_cone_smaller;
         ] );
       ( "bmc",
         [

@@ -90,17 +90,6 @@ let agree label (module_path : Engine.verdict) (direct : Engine.verdict) =
 
 (* ---- corpus equivalence, every engine ---- *)
 
-let corpus_dir () =
-  if Sys.file_exists "corpus" then "corpus"
-  else Filename.concat (Filename.dirname Sys.executable_name) "corpus"
-
-let corpus_cases () =
-  let dir = corpus_dir () in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".rtl")
-  |> List.sort compare
-  |> List.map (fun f -> (f, Case.of_file (Filename.concat dir f)))
-
 let test_corpus_equivalence () =
   List.iter
     (fun (file, case) ->
@@ -116,7 +105,7 @@ let test_corpus_equivalence () =
               r.Engine.verdict
               (direct_verdict id (Case.instance case)))
          Engine.all_ids)
-    (corpus_cases ())
+    (Qutil.corpus_cases ())
 
 (* ---- the lazy-cdp scratch-sweep arm ---- *)
 

@@ -1,17 +1,26 @@
-(* Tests for the netlist optimizer: individual rewrite rules, dead-code
-   removal, sharing, and behaviour preservation over the benchmark
-   suite and random circuits. *)
+(* Tests for the folding, hash-consing constructor that builds every
+   unrolled frame: individual rewrite rules, cone restriction, sharing,
+   and behaviour preservation over the benchmark suite and random
+   circuits, exercised through [Unroll]. *)
 
 module Ir = Rtlsat_rtl.Ir
 module N = Rtlsat_rtl.Netlist
 module Sim = Rtlsat_rtl.Sim
 module Opt = Rtlsat_rtl.Opt
+module Unroll = Rtlsat_bmc.Unroll
 module Registry = Rtlsat_itc99.Registry
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let const_value n = match n.Ir.op with Ir.Const v -> Some v | _ -> None
+
+(* one frame of the cone of every output, through the constructor *)
+let unroll_outputs c = Unroll.unroll c ~roots:(List.map snd c.Ir.outputs) ~frames:1
+
+let frame0 c =
+  let u = unroll_outputs c in
+  fun n -> Unroll.node_at u n 0
 
 let test_constant_folding () =
   let c = N.create "fold" in
@@ -26,7 +35,7 @@ let test_constant_folding () =
   N.output c "prod" prod;
   N.output c "cmp" cmp;
   N.output c "ex" ex;
-  let { Opt.fwd; _ } = Opt.simplify c in
+  let fwd = frame0 c in
   Alcotest.(check (option int)) "3+5" (Some 8) (const_value (fwd sum));
   Alcotest.(check (option int)) "3*5" (Some 15) (const_value (fwd prod));
   Alcotest.(check (option int)) "3<5" (Some 1) (const_value (fwd cmp));
@@ -52,7 +61,7 @@ let test_identities () =
   let mux10 = N.mux c ~sel:a ~t:one1 ~e:zero1 () in
   List.iteri (fun i n -> N.output c (string_of_int i) n)
     [ and0; and1; or1; xorself; notnot; muxsame; addz; subself; eqself; mux10 ];
-  let { Opt.fwd; _ } = Opt.simplify c in
+  let fwd = frame0 c in
   Alcotest.(check (option int)) "a&0" (Some 0) (const_value (fwd and0));
   check_bool "a&1 = a" true (fwd and1 == fwd a);
   Alcotest.(check (option int)) "a|1" (Some 1) (const_value (fwd or1));
@@ -74,7 +83,7 @@ let test_structural_hashing () =
   N.output c "a" s1;
   N.output c "b" s2;
   N.output c "c" s3;
-  let { Opt.fwd; _ } = Opt.simplify c in
+  let fwd = frame0 c in
   check_bool "s1 == s2" true (fwd s1 == fwd s2);
   check_bool "s1 == s3 (commuted)" true (fwd s1 == fwd s3)
 
@@ -85,18 +94,16 @@ let test_dead_code () =
   let _dead1 = N.sub c x x in
   let _dead2 = N.lt c x live in
   N.output c "live" live;
-  let { Opt.optimized; _ } = Opt.simplify c in
-  (* input, const 1, add — the two dead nodes are gone *)
-  check_int "only live nodes" 3 (Opt.node_count optimized)
+  (* input, const 1, add — the two nodes outside the cone are not copied *)
+  check_int "only live nodes" 3 (Unroll.combo (unroll_outputs c)).Ir.ncount
 
 let test_unroll_shrink () =
-  (* unrolled benchmark circuits shrink substantially: frame-0 resets
-     constant-fold forward *)
+  (* unrolled benchmark circuits shrink substantially against a copy of
+     every source node per frame: frame-0 resets constant-fold forward
+     and the cone drops the other properties' logic *)
   let inst = Registry.instance ~circuit:"b13" ~prop:"1" ~bound:20 in
-  let combo = Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled in
-  let { Opt.optimized; _ } = Opt.simplify combo in
-  let before = Opt.node_count combo in
-  let after = Opt.node_count optimized in
+  let before = 20 * inst.Rtlsat_bmc.Bmc.source.Ir.ncount in
+  let after = (Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled).Ir.ncount in
   check_bool
     (Printf.sprintf "shrinks (%d -> %d)" before after)
     true
@@ -108,32 +115,43 @@ let random_trace rng c cycles =
         (fun n -> (Ir.node_name n, Random.State.int rng (Ir.max_value n + 1)))
         (Ir.inputs c))
 
-let drive c named =
-  List.map
-    (fun by_name -> List.map (fun (nm, v) -> (N.find_input c nm, v)) by_name)
-    named
-
 let test_equivalence_on_benchmarks () =
+  (* every property of every benchmark, 40 frames: the unrolled cone
+     under the same inputs agrees with the sequential simulator *)
   let rng = Random.State.make [| 2026 |] in
+  let cycles = 40 in
   List.iter
     (fun name ->
        let c, props = Registry.build name in
-       List.iter (fun (pn, p) -> N.output c ("prop_" ^ pn) p) props;
-       let { Opt.optimized; fwd } = Opt.simplify c in
-       ignore fwd;
-       let named = random_trace rng c 40 in
-       let t1 = Sim.run c ~inputs:(drive c named) in
-       let t2 = Sim.run optimized ~inputs:(drive optimized named) in
+       let u = Unroll.unroll c ~roots:(List.map snd props) ~frames:cycles in
+       let combo = Unroll.combo u in
+       let named = random_trace rng c cycles in
+       let t1 =
+         Sim.run c
+           ~inputs:
+             (List.map (List.map (fun (nm, v) -> (N.find_input c nm, v))) named)
+       in
+       let t2 =
+         Sim.eval combo (Sim.initial_state combo)
+           ~inputs:
+             (List.concat
+                (List.mapi
+                   (fun f step ->
+                      List.map
+                        (fun (nm, v) -> (Unroll.input_at u (N.find_input c nm) f, v))
+                        step)
+                   named))
+       in
        List.iteri
-         (fun i (v1, v2) ->
+         (fun f v1 ->
             List.iter
-              (fun (port, n1) ->
+              (fun (pn, p) ->
                  check_int
-                   (Printf.sprintf "%s %s cycle %d" name port i)
-                   (Sim.value v1 n1)
-                   (Sim.value v2 (N.find_output optimized port)))
-              c.Ir.outputs)
-         (List.combine t1 t2))
+                   (Printf.sprintf "%s prop %s cycle %d" name pn f)
+                   (Sim.value v1 p)
+                   (Sim.value t2 (Unroll.node_at u p f)))
+              props)
+         t1)
     Registry.circuits
 
 let prop_equivalence_random =
@@ -164,35 +182,43 @@ let prop_equivalence_random =
        done;
        let o = pick !words in
        N.output c "o" o;
-       let { Opt.optimized; _ } = Opt.simplify c in
+       let u = unroll_outputs c in
+       let combo = Unroll.combo u in
        let v1 =
          Sim.value (Sim.eval c (Sim.initial_state c) ~inputs:[ (a, av); (b, bv) ]) o
        in
-       let inputs2 =
-         List.filter_map
-           (fun n ->
-              match Ir.node_name n with
-              | "a" -> Some (n, av)
-              | "b" -> Some (n, bv)
-              | _ -> None)
-           (Ir.inputs optimized)
-       in
+       let inputs2 = [ (Unroll.input_at u a 0, av); (Unroll.input_at u b 0, bv) ] in
        let v2 =
-         Sim.value
-           (Sim.eval optimized (Sim.initial_state optimized) ~inputs:inputs2)
-           (N.find_output optimized "o")
+         Sim.value (Sim.eval combo (Sim.initial_state combo) ~inputs:inputs2)
+           (Unroll.node_at u o 0)
        in
-       v1 = v2 && Opt.node_count optimized <= Opt.node_count c)
+       v1 = v2 && combo.Ir.ncount <= c.Ir.ncount)
 
 let test_idempotent () =
+  (* hashing the same frame twice adds no nodes and returns the same
+     images (registers are cut into inputs, as in one unrolled frame) *)
   List.iter
     (fun name ->
        let c, _ = Registry.build name in
-       let once = (Opt.simplify c).Opt.optimized in
-       let twice = (Opt.simplify once).Opt.optimized in
-       Alcotest.(check int)
-         (name ^ " second pass is a fixpoint")
-         (Opt.node_count once) (Opt.node_count twice))
+       let b = Opt.create name in
+       let img = Hashtbl.create 256 in
+       let image n = Hashtbl.find img n.Ir.id in
+       List.iter
+         (fun n ->
+            Hashtbl.replace img n.Ir.id
+              (match n.Ir.op with
+               | Ir.Input | Ir.Reg _ -> N.input (Opt.circuit b) n.Ir.width
+               | _ -> Opt.copy b n image))
+         (Ir.nodes c);
+       let once = (Opt.circuit b).Ir.ncount in
+       List.iter
+         (fun n ->
+            match n.Ir.op with
+            | Ir.Input | Ir.Reg _ -> ()
+            | _ ->
+              check_bool (name ^ " same image") true (Opt.copy b n image == image n))
+         (Ir.nodes c);
+       check_int (name ^ " second pass adds no nodes") once (Opt.circuit b).Ir.ncount)
     Registry.circuits
 
 let qsuite = Qutil.qsuite
