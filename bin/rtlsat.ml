@@ -47,11 +47,20 @@ module Fuzz_gen = Rtlsat_fuzz.Gen
 module Fuzz_case = Rtlsat_fuzz.Case
 module Oracle = Rtlsat_fuzz.Oracle
 
-let write_json path v =
+let write_file path text =
   let oc = open_out path in
-  Json.to_channel oc v;
-  output_char oc '\n';
+  output_string oc text;
   close_out oc
+
+let write_json path v = write_file path (Json.to_string v ^ "\n")
+
+(* report invalid input or an unwritable output and exit 2 *)
+let die fmt =
+  Format.kasprintf
+    (fun msg ->
+       Format.eprintf "rtlsat: %s@." msg;
+       exit 2)
+    fmt
 
 (* Exit-code convention, shared by every subcommand that can fail:
    0 success, 1 negative finding, 2 unreadable/invalid input. *)
@@ -107,15 +116,17 @@ let ledger_term =
           Some (match path with Some p -> p | None -> Ledger.default_path ()))
     $ path $ off)
 
-(* bookkeeping must never fail the run: warn and continue *)
-let ledger_append ledger ~subcommand ~instance ~engine ~options ~verdict
+(* bookkeeping must never fail the run: warn and continue.  The
+   options digest is the request's, then the command's own fields. *)
+let ledger_append ledger ~subcommand ~instance ~engine ~req ~options ~verdict
     ~wall_s ~counters ~artifacts =
   match ledger with
   | None -> ()
   | Some path ->
     let record =
       Ledger.make ~subcommand ~argv:(Array.to_list Sys.argv) ~instance ~engine
-        ~options ~verdict ~wall_s ~counters ~artifacts ()
+        ~options:(String.concat "," (Req.options_string req :: options))
+        ~verdict ~wall_s ~counters ~artifacts ()
     in
     (try Ledger.append ~path record with
      | Sys_error msg -> Format.eprintf "rtlsat: ledger: %s@." msg
@@ -123,30 +134,19 @@ let ledger_append ledger ~subcommand ~instance ~engine ~options ~verdict
        Format.eprintf "rtlsat: ledger: %s: %s@." path (Unix.error_message e))
 
 let engine_conv =
-  let all =
-    [
-      ("hdpll", Engine.Hdpll); ("hdpll+s", Engine.Hdpll_s);
-      ("hdpll+s+p", Engine.Hdpll_sp); ("hdpll+p", Engine.Hdpll_p);
-      ("bitblast", Engine.Bitblast); ("lazy-cdp", Engine.Lazy_cdp);
-    ]
-  in
-  Arg.enum all
+  Arg.enum (List.map (fun id -> (Engine.name_of id, id)) Engine.all_ids)
+
+let negative = function
+  | Engine.Timeout | Engine.Abort _ -> true
+  | Engine.Sat | Engine.Unsat -> false
 
 (* ---- shared request-context options ----
 
-   solve / sweep / sat / fuzz used to each re-declare
-   --split/--simplify/--inprocess (next to their own --trace and
-   --timeout); one spec now parses the engine knobs, and [req_of_opts]
-   finishes it into the single Req.t request context threaded through
-   every engine entry point. *)
+   solve / sweep / sat / fuzz parse the engine knobs
+   --split/--simplify/--inprocess into one Req.t; each command then
+   sets its own budget and telemetry on it. *)
 
-type engine_opts = {
-  eo_split : bool;      (* structural split nominations (hybrid engines) *)
-  eo_simplify : bool;   (* pre/inprocessing of the clause database *)
-  eo_inprocess : int;   (* re-simplify period in conflicts; 0 = off *)
-}
-
-let engine_opts_term =
+let req_term =
   let split =
     Arg.(value
          & vflag true
@@ -183,19 +183,161 @@ let engine_opts_term =
                  every $(docv) conflicts; 0 (default) disables inprocessing")
   in
   Term.(
-    const (fun eo_split eo_simplify eo_inprocess ->
-        { eo_split; eo_simplify; eo_inprocess })
+    const (fun split simplify inprocess ->
+        Req.make ~split ~simplify ~inprocess ())
     $ split $ simplify $ inprocess)
 
-(* the one request context of the run: shared spec + per-command budget
-   and telemetry *)
-let req_of_opts ?obs ?dump_graph ?dump_graph_max ~timeout o =
-  Req.make ~timeout ?obs ~split:o.eo_split ~simplify:o.eo_simplify
-    ~inprocess:o.eo_inprocess ?dump_graph ?dump_graph_max ()
+(* ---- telemetry: each flag declared once, one runner for solve,
+   sweep and sat ---- *)
 
-(* the --trace spec, shared shape with per-command doc *)
-let trace_term ~doc =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+type telemetry = {
+  trace : string option;        (* --trace FILE *)
+  heartbeat : float;            (* seconds between heartbeats; 0 = off *)
+  flight : string option;       (* dump path; [None] = --no-flight-recorder *)
+  metrics_out : string option;  (* --metrics-out FILE *)
+}
+
+let trace_term =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+         ~doc:"Write a JSON-lines event trace: decisions, conflicts, \
+               restarts, learned clauses, J-frontier sizes, ICP stalls and \
+               heartbeats, plus a sweep's session and per-bound events, or \
+               a fuzz campaign's rate-limited progress events; replay it \
+               with $(b,rtlsat profile), follow it with $(b,rtlsat top)")
+
+let flight_term =
+  let on =
+    Arg.(value
+         & vflag true
+             [ ( true,
+                 info [ "flight-recorder-on" ]
+                   ~doc:"Keep the flight recorder armed (default): a bounded \
+                         in-memory ring of the last trace events, dumped for \
+                         $(b,rtlsat profile) when the run times out, \
+                         aborts, dies, or receives SIGUSR1" );
+               ( false,
+                 info [ "no-flight-recorder" ]
+                   ~doc:"Disarm the flight recorder (and, with no other \
+                         observability flag, run fully uninstrumented)" ) ])
+  in
+  let file =
+    Arg.(value & opt string "rtlsat.flight.jsonl"
+         & info [ "flight-recorder" ] ~docv:"FILE"
+             ~doc:"Where a flight-recorder dump lands; nothing is written \
+                   when the run ends normally")
+  in
+  Term.(const (fun on file -> if on then Some file else None) $ on $ file)
+
+(* solve and sweep take every telemetry flag *)
+let telemetry_term =
+  let heartbeat =
+    Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
+           ~doc:"Interval between heartbeat trace events (progress totals \
+                 and per-second rates, tagged with the bound a sweep is \
+                 solving; consumed by $(b,rtlsat top)); 0 disables them")
+  in
+  let metrics_out =
+    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
+           ~doc:"Write the run's metrics in OpenMetrics text exposition \
+                 format (see also $(b,rtlsat metrics))")
+  in
+  Term.(
+    const (fun trace heartbeat flight metrics_out ->
+        { trace; heartbeat; flight; metrics_out })
+    $ trace_term $ heartbeat $ flight_term $ metrics_out)
+
+(* sat takes only the flight recorder, with 1 s heartbeats in its ring *)
+let flight_only_term =
+  Term.(
+    const (fun flight ->
+        { trace = None; heartbeat = 1.0; flight; metrics_out = None })
+    $ flight_term)
+
+let open_trace path =
+  try Trace.to_file path
+  with Sys_error msg -> die "cannot write trace file: %s" msg
+
+(* [with_telemetry t ~failed solve] runs [solve obs] under the telemetry
+   flags [t] and returns its result with the ledger artifacts:
+   - every output path ([stats], --metrics-out) is checked before the
+     solve, so an unwritable one exits 2 without a verdict;
+   - the Obs handle exists only when a flag needs it ([observe]: the
+     caller reads it itself, [progress]: -v progress lines);
+   - the flight recorder is dumped on SIGUSR1, on an exception and
+     when [failed] calls the result negative;
+   - [metrics] renders --metrics-out from the result and the handle. *)
+let with_telemetry ?stats ?(observe = false) ?(progress = false)
+    ?(metrics = fun _ _ -> "") t ~failed solve =
+  List.iter
+    (fun path ->
+       try close_out (open_out path)
+       with Sys_error msg -> die "cannot write output file: %s" msg)
+    (Option.to_list stats @ Option.to_list t.metrics_out);
+  let obs =
+    if observe || progress || t.trace <> None || t.flight <> None
+       || t.metrics_out <> None
+    then
+      Obs.create
+        ?trace:(Option.map open_trace t.trace)
+        ?recorder:(Option.map (fun _ -> Recorder.create ()) t.flight)
+        ?heartbeat_every:(if t.heartbeat > 0.0 then Some t.heartbeat else None)
+        ?progress_every:(if progress then Some 1.0 else None)
+        ()
+    else Obs.disabled
+  in
+  let dump () =
+    match t.flight with
+    | None -> false
+    | Some path ->
+      (match Obs.flight_dump obs path with
+       | dumped ->
+         if dumped then
+           Format.eprintf
+             "flight recorder dumped to %s; replay with: rtlsat profile %s@."
+             path path;
+         dumped
+       | exception Sys_error msg ->
+         Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
+         false)
+  in
+  (* signal handlers run on the main domain only; never arm (or re-arm)
+     from a worker domain *)
+  if t.flight <> None && Domain.is_main_domain () then
+    (try
+       Sys.set_signal Sys.sigusr1
+         (Sys.Signal_handle (fun _ -> ignore (dump ())))
+     with Invalid_argument _ | Sys_error _ -> ());
+  let r =
+    try solve obs
+    with e ->
+      (* post-mortem for crashes, not just timeouts *)
+      ignore (dump ());
+      raise e
+  in
+  Option.iter
+    (fun path ->
+       try write_file path (metrics r obs)
+       with Sys_error msg -> die "cannot write metrics file: %s" msg)
+    t.metrics_out;
+  Obs.close obs;
+  let dumped = failed r && dump () in
+  let artifact kind = Option.map (fun path -> (kind, path)) in
+  ( r,
+    List.filter_map Fun.id
+      [
+        artifact "trace" t.trace;
+        artifact "stats" stats;
+        artifact "metrics" t.metrics_out;
+        (if dumped then artifact "flight" t.flight else None);
+      ] )
+
+(* "<kind> written to <path>" for each artifact but a flight dump,
+   which [with_telemetry] announces on stderr *)
+let print_written artifacts =
+  List.iter
+    (fun (kind, path) ->
+       if kind <> "flight" then Format.printf "%s written to %s@." kind path)
+    artifacts
 
 (* ---- list ---- *)
 
@@ -270,12 +412,6 @@ let solve_cmd =
            ~doc:"Write the run's counters, per-phase timings, histograms and \
                  forensics (hot constraints/variables, ICP stalls) as JSON")
   in
-  let trace_out =
-    trace_term
-      ~doc:"Write a JSON-lines event trace (decisions, conflicts, restarts, \
-            learned clauses, J-frontier sizes, ICP stalls); replay it with \
-            $(b,rtlsat profile)"
-  in
   let dump_graph =
     Arg.(value & opt (some string) None & info [ "dump-graph" ] ~docv:"DIR"
            ~doc:"Export the hybrid implication graph of the first conflicts \
@@ -291,37 +427,6 @@ let solve_cmd =
            ~doc:"Periodic one-line progress reports on stderr (decisions/s, \
                  conflicts/s, learned DB size, depth) and a phase-time summary")
   in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last trace events, dumped for \
-                         $(b,rtlsat profile) when the solve times out, \
-                         aborts, dies, or receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder (and, with no other \
-                         observability flag, run fully uninstrumented)" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when the solve ends normally")
-  in
-  let heartbeat =
-    Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
-           ~doc:"Interval between heartbeat trace events (progress totals \
-                 and per-second rates, consumed by $(b,rtlsat top)); 0 \
-                 disables them")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the run's metrics in OpenMetrics text exposition \
-                 format (see also $(b,rtlsat metrics))")
-  in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Race up to $(docv) engines as a parallel portfolio over \
@@ -336,9 +441,8 @@ let solve_cmd =
                  nominations yields cubes fanned over --jobs workers with \
                  short-clause exchange.  Hybrid engines only")
   in
-  let run case_file circuit prop bound engine timeout stats_json trace_out
-      dump_graph dump_graph_max progress opts flight flight_out heartbeat
-      metrics_out jobs cube ledger =
+  let run case_file circuit prop bound engine timeout stats_json dump_graph
+      dump_graph_max progress req tel jobs cube ledger =
     let inst, label =
       match (case_file, circuit, prop, bound) with
       | Some file, None, None, None ->
@@ -347,12 +451,9 @@ let solve_cmd =
            ( Fuzz_case.instance case,
              Filename.remove_extension (Filename.basename file) )
          | exception (Sys_error msg | Failure msg) ->
-           Format.eprintf "rtlsat: cannot load %s: %s@." file msg;
-           exit 2)
+           die "cannot load %s: %s" file msg)
       | Some _, _, _, _ ->
-        Format.eprintf
-          "rtlsat: CASE.rtl and --circuit/--property/--bound are exclusive@.";
-        exit 2
+        die "CASE.rtl and --circuit/--property/--bound are exclusive"
       | None, Some circuit, Some prop, Some bound ->
         (match Registry.instance ~circuit ~prop ~bound with
          | inst -> (inst, Registry.instance_name ~circuit ~prop ~bound)
@@ -360,96 +461,42 @@ let solve_cmd =
            Format.eprintf "unknown instance %s_%s@." circuit prop;
            exit 2)
       | None, _, _, _ ->
-        Format.eprintf
-          "rtlsat: give either CASE.rtl or all of --circuit, --property and \
-           --bound@.";
-        exit 2
+        die "give either CASE.rtl or all of --circuit, --property and --bound"
     in
     let bound = inst.Rtlsat_bmc.Bmc.bound in
-    (* fail on unwritable output paths before solving, not after *)
-    (match stats_json with
-     | Some path ->
-       (try close_out (open_out path)
-        with Sys_error msg ->
-          Format.eprintf "rtlsat: cannot write stats file: %s@." msg;
-          exit 2)
-     | None -> ());
     (match dump_graph with
      | Some dir ->
        (try Unix.mkdir dir 0o755
         with
         | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
         | Unix.Unix_error (e, _, _) ->
-          Format.eprintf "rtlsat: cannot create %s: %s@." dir
-            (Unix.error_message e);
-          exit 2)
+          die "cannot create %s: %s" dir (Unix.error_message e))
      | None -> ());
-    let need_obs =
-      stats_json <> None || trace_out <> None || progress || flight
-      || metrics_out <> None
-    in
-    let obs =
-      if need_obs then
-        Obs.create
-          ?trace:
-            (Option.map
-               (fun path ->
-                  try Trace.to_file path
-                  with Sys_error msg ->
-                    Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                    exit 2)
-               trace_out)
-          ?recorder:(if flight then Some (Recorder.create ()) else None)
-          ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
-          ?progress_every:(if progress then Some 1.0 else None)
-          ()
-      else Obs.disabled
-    in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
     let jobs = max 1 jobs in
-    (if cube then
-       match engine with
-       | Engine.Hdpll | Engine.Hdpll_s | Engine.Hdpll_sp | Engine.Hdpll_p
-         -> ()
-       | Engine.Bitblast | Engine.Lazy_cdp ->
-         Format.eprintf
-           "rtlsat: --cube needs a hybrid engine (no split heap to cube on)@.";
-         exit 2);
-    let mode_note = ref [] in
-    let req =
-      req_of_opts ~obs ?dump_graph ~dump_graph_max ~timeout opts
-    in
-    let r =
-      try
-        if cube then begin
-          let c = Parallel.cube_solve ~req ~j:jobs ~engine inst in
-          mode_note :=
-            [ Printf.sprintf
-                "cube-and-conquer -j %d: %d cubes over vars [%s], %d \
-                 refuted, exchange %d shared / %d imported, probe %.2fs"
-                jobs c.Parallel.c_cubes
-                (String.concat ";"
-                   (List.map string_of_int c.Parallel.c_vars))
-                c.Parallel.c_refuted c.Parallel.c_exchange_pushed
-                c.Parallel.c_exchange_taken c.Parallel.c_probe_time ];
+    if cube && not (Engine.is_hybrid engine) then
+      die "--cube needs a hybrid engine (no split heap to cube on)";
+    let (mode_note, r), artifacts =
+      with_telemetry tel ?stats:stats_json ~observe:(stats_json <> None)
+        ~progress
+        ~failed:(fun (_, r) -> negative r.Engine.verdict)
+        ~metrics:(fun (_, r) _ ->
+            Openmetrics.of_json
+              (Report.solve_json ~instance:label ~bound engine r))
+      @@ fun obs ->
+      let req =
+        { req with Req.timeout; obs; dump_graph; dump_graph_max }
+      in
+      let metrics m = if obs.Obs.enabled then Some m else None in
+      if cube then begin
+        let c = Parallel.cube_solve ~req ~j:jobs ~engine inst in
+        ( Some
+            (Printf.sprintf
+               "cube-and-conquer -j %d: %d cubes over vars [%s], %d \
+                refuted, exchange %d shared / %d imported, probe %.2fs"
+               jobs c.Parallel.c_cubes
+               (String.concat ";" (List.map string_of_int c.Parallel.c_vars))
+               c.Parallel.c_refuted c.Parallel.c_exchange_pushed
+               c.Parallel.c_exchange_taken c.Parallel.c_probe_time),
           {
             Engine.verdict = c.Parallel.c_verdict;
             time = c.Parallel.c_time;
@@ -458,36 +505,27 @@ let solve_cmd =
             decisions = 0;
             conflicts = 0;
             stats = None;
-            metrics = (if need_obs then Some c.Parallel.c_metrics else None);
-          }
-        end
-        else if jobs > 1 then begin
-          let p = Parallel.portfolio ~req ~j:jobs ~engine inst in
-          mode_note :=
-            [ Printf.sprintf "portfolio -j %d raced {%s}: %s" jobs
-                (String.concat ", "
-                   (List.map
-                      (fun (e, _) -> Engine.name_of e)
-                      p.Parallel.p_runs))
-                (match p.Parallel.p_winner with
-                 | Some e -> "winner " ^ Engine.name_of e
-                 | None -> "no decisive finisher") ];
+            metrics = metrics c.Parallel.c_metrics;
+          } )
+      end
+      else if jobs > 1 then begin
+        let p = Parallel.portfolio ~req ~j:jobs ~engine inst in
+        ( Some
+            (Printf.sprintf "portfolio -j %d raced {%s}: %s" jobs
+               (String.concat ", "
+                  (List.map (fun (e, _) -> Engine.name_of e) p.Parallel.p_runs))
+               (match p.Parallel.p_winner with
+                | Some e -> "winner " ^ Engine.name_of e
+                | None -> "no decisive finisher")),
           {
             p.Parallel.p_run with
             Engine.time = p.Parallel.p_wall;
-            Engine.metrics =
-              (if need_obs then Some p.Parallel.p_metrics
-               else p.Parallel.p_run.Engine.metrics);
-          }
-        end
-        else Engine.run_instance ~req engine inst
-      with e ->
-        (* post-mortem for crashes, not just timeouts *)
-        ignore (dump_flight ());
-        raise e
+            metrics = metrics p.Parallel.p_metrics;
+          } )
+      end
+      else (None, Engine.run_instance ~req engine inst)
     in
-    Obs.close obs;
-    List.iter (fun l -> Format.printf "%s@." l) !mode_note;
+    Option.iter (Format.printf "%s@.") mode_note;
     Format.printf "%s %s: %s in %.2fs@." label
       (Engine.name_of engine)
       (match r.Engine.verdict with
@@ -496,12 +534,14 @@ let solve_cmd =
        | Engine.Timeout -> "TIMEOUT"
        | Engine.Abort msg -> "ABORT: " ^ msg)
       r.Engine.time;
+    let splits =
+      match r.Engine.stats with
+      | Some st -> st.Rtlsat_core.Solver.splits
+      | None -> 0
+    in
     Format.printf "decisions=%d conflicts=%d relations=%d%s@."
       r.Engine.decisions r.Engine.conflicts r.Engine.relations
-      (match r.Engine.stats with
-       | Some st when st.Rtlsat_core.Solver.splits > 0 ->
-         Printf.sprintf " splits=%d" st.Rtlsat_core.Solver.splits
-       | _ -> "");
+      (if splits > 0 then Printf.sprintf " splits=%d" splits else "");
     if progress then
       (match r.Engine.metrics with
        | Some m ->
@@ -512,72 +552,35 @@ let solve_cmd =
                 Format.eprintf "  %-18s %8.3fs  (%d)@." name self calls)
            m.Obs.phases
        | None -> ());
-    (match stats_json with
-     | Some path ->
-       write_json path (Report.solve_json ~instance:label ~bound engine r);
-       Format.printf "stats written to %s@." path
-     | None -> ());
-    (match trace_out with
-     | Some path -> Format.printf "trace written to %s@." path
-     | None -> ());
-    (match dump_graph with
-     | Some dir -> Format.printf "conflict graphs written to %s@." dir
-     | None -> ());
-    (match metrics_out with
-     | Some path ->
-       (try
-          let oc = open_out path in
-          output_string oc
-            (Openmetrics.of_json
-               (Report.solve_json ~instance:label ~bound engine r));
-          close_out oc;
-          Format.printf "metrics written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
-          exit 2)
-     | None -> ());
-    let dumped =
-      match r.Engine.verdict with
-      | Engine.Timeout | Engine.Abort _ -> dump_flight ()
-      | Engine.Sat | Engine.Unsat -> false
-    in
+    Option.iter
+      (fun path ->
+         write_json path (Report.solve_json ~instance:label ~bound engine r))
+      stats_json;
+    print_written artifacts;
+    Option.iter (Format.printf "conflict graphs written to %s@.") dump_graph;
     ledger_append ledger ~subcommand:"solve" ~instance:label
-      ~engine:(Engine.name_of engine)
+      ~engine:(Engine.name_of engine) ~req
       ~options:
-        (Printf.sprintf "bound=%d,split=%b,simplify=%b,inprocess=%d,j=%d%s"
-           bound opts.eo_split opts.eo_simplify opts.eo_inprocess jobs
-           (if cube then ",cube" else ""))
+        ([ Printf.sprintf "bound=%d" bound; Printf.sprintf "j=%d" jobs ]
+         @ if cube then [ "cube" ] else [])
       ~verdict:(Engine.verdict_string r.Engine.verdict)
       ~wall_s:r.Engine.time
       ~counters:
         ([
-           ("decisions", r.Engine.decisions);
-           ("conflicts", r.Engine.conflicts);
-           ("relations", r.Engine.relations);
-         ]
-         @
-         match r.Engine.stats with
-         | Some st -> [ ("splits", st.Rtlsat_core.Solver.splits) ]
-         | None -> [])
-      ~artifacts:
-        (List.concat
-           [
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-             (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
-           ]);
-    match r.Engine.verdict with
-    | Engine.Timeout | Engine.Abort _ -> exit 1
-    | Engine.Sat | Engine.Unsat -> ()
+          ("decisions", r.Engine.decisions);
+          ("conflicts", r.Engine.conflicts);
+          ("relations", r.Engine.relations);
+        ]
+         @ if Option.is_some r.Engine.stats then [ ("splits", splits) ] else [])
+      ~artifacts;
+    if negative r.Engine.verdict then exit 1
   in
   Cmd.v
     (Cmd.info "solve" ~exits:std_exits
        ~doc:"Decide one BMC instance (benchmark or .rtl case file)")
     Term.(const run $ case_file $ circuit $ prop $ bound $ engine $ timeout
-          $ stats_json $ trace_out $ dump_graph $ dump_graph_max $ progress
-          $ engine_opts_term $ flight $ flight_out $ heartbeat $ metrics_out
-          $ jobs $ cube $ ledger_term)
+          $ stats_json $ dump_graph $ dump_graph_max $ progress $ req_term
+          $ telemetry_term $ jobs $ cube $ ledger_term)
 
 (* ---- check: external netlist files ---- *)
 
@@ -676,51 +679,13 @@ let sweep_cmd =
     Arg.(value & flag & info [ "compare-scratch" ]
            ~doc:"Also re-solve every bound from scratch and print both times")
   in
-  let trace_out =
-    trace_term
-      ~doc:"Write a JSON-lines event trace, including the session \
-            lifecycle events (session.create, solve.begin with carried \
-            counters) and the per-bound sweep.bound / sweep.result \
-            progress events; follow it live with $(b,rtlsat top)"
-  in
-  let heartbeat =
-    Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
-           ~doc:"Interval between heartbeat trace events (each tagged with \
-                 the bound being solved); 0 disables them")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the sweep's cumulative metrics in OpenMetrics text \
-                 exposition format")
-  in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last trace events, dumped for \
-                         $(b,rtlsat profile) when any bound times out, the \
-                         sweep dies, or it receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder (and, with no other \
-                         observability flag, run fully uninstrumented)" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when every bound ends normally")
-  in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Partition the bound ladder round-robin over $(docv) worker \
                  domains, each with its own private solver session.  \
                  Verdicts match -j 1; carried counters become per-worker")
   in
-  let run circuit prop bounds engine timeout scratch trace_out heartbeat
-      metrics_out flight flight_out opts jobs ledger =
+  let run circuit prop bounds engine timeout scratch tel req jobs ledger =
     let source, p =
       match Registry.build circuit with
       | c, props ->
@@ -733,62 +698,18 @@ let sweep_cmd =
         Format.eprintf "unknown circuit %s@." circuit;
         exit 2
     in
-    let obs =
-      if trace_out <> None || metrics_out <> None || flight then
-        Obs.create
-          ?trace:
-            (Option.map
-               (fun path ->
-                  try Trace.to_file path
-                  with Sys_error msg ->
-                    Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                    exit 2)
-               trace_out)
-          ?recorder:(if flight then Some (Recorder.create ()) else None)
-          ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
-          ()
-      else Obs.disabled
-    in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
     let jobs = max 1 jobs in
-    let req = req_of_opts ~obs ~timeout opts in
-    let steps =
-      try Parallel.sweep ~req ~j:jobs engine source ~prop:p ~bounds
-      with e ->
-        (* post-mortem for crashes, matching solve *)
-        ignore (dump_flight ());
-        raise e
+    let verdicts steps =
+      List.map (fun (s : Engine.sweep_step) -> s.Engine.sw_run.Engine.verdict) steps
     in
-    (match metrics_out with
-     | Some path ->
-       (try
-          let oc = open_out path in
-          output_string oc (Openmetrics.of_snapshot (Obs.snapshot obs));
-          close_out oc;
-          Format.printf "metrics written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
-          exit 2)
-     | None -> ());
-    Obs.close obs;
+    let steps, artifacts =
+      with_telemetry tel
+        ~failed:(fun steps -> List.exists negative (verdicts steps))
+        ~metrics:(fun _ obs -> Openmetrics.of_snapshot (Obs.snapshot obs))
+      @@ fun obs ->
+      Parallel.sweep ~req:{ req with Req.timeout; obs } ~j:jobs engine source
+        ~prop:p ~bounds
+    in
     if jobs > 1 then
       Format.printf
         "%s_%s sweep, engine %s: %d worker sessions, bounds as assumptions@."
@@ -832,32 +753,14 @@ let sweep_cmd =
       Format.printf "total: incremental %.2fs, from-scratch %.2fs@." !incr_total
         !scratch_total
     else Format.printf "total: incremental %.2fs@." !incr_total;
-    (match trace_out with
-     | Some path -> Format.printf "trace written to %s@." path
-     | None -> ());
-    let bad =
-      List.exists
-        (fun (step : Engine.sweep_step) ->
-           match step.Engine.sw_run.Engine.verdict with
-           | Engine.Timeout | Engine.Abort _ -> true
-           | Engine.Sat | Engine.Unsat -> false)
-        steps
-    in
-    let dumped = if bad then dump_flight () else false in
+    print_written artifacts;
+    let verdicts = verdicts steps in
     let sweep_verdict =
-      let has v =
-        List.exists
-          (fun (s : Engine.sweep_step) ->
-             match (s.Engine.sw_run.Engine.verdict, v) with
-             | Engine.Timeout, `T | Engine.Abort _, `A -> true
-             | _ -> false)
-          steps
-      in
-      if has `T then "timeout"
-      else if has `A then "abort"
+      if List.mem Engine.Timeout verdicts then "timeout"
+      else if List.exists negative verdicts then "abort"
       else
-        match List.rev steps with
-        | last :: _ -> Engine.verdict_string last.Engine.sw_run.Engine.verdict
+        match List.rev verdicts with
+        | last :: _ -> Engine.verdict_string last
         | [] -> "abort"
     in
     let total c =
@@ -867,11 +770,12 @@ let sweep_cmd =
     in
     ledger_append ledger ~subcommand:"sweep"
       ~instance:(Printf.sprintf "%s_%s" circuit prop)
-      ~engine:(Engine.name_of engine)
+      ~engine:(Engine.name_of engine) ~req
       ~options:
-        (Printf.sprintf "bounds=%s,simplify=%b,inprocess=%d,j=%d"
-           (String.concat ";" (List.map string_of_int bounds))
-           opts.eo_simplify opts.eo_inprocess jobs)
+        [
+          "bounds=" ^ String.concat ";" (List.map string_of_int bounds);
+          Printf.sprintf "j=%d" jobs;
+        ]
       ~verdict:sweep_verdict ~wall_s:!incr_total
       ~counters:
         [
@@ -879,14 +783,8 @@ let sweep_cmd =
           ("decisions", total (fun r -> r.Engine.decisions));
           ("conflicts", total (fun r -> r.Engine.conflicts));
         ]
-      ~artifacts:
-        (List.concat
-           [
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-             (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
-           ]);
-    if bad then exit 1
+      ~artifacts;
+    if List.exists negative verdicts then exit 1
   in
   Cmd.v
     (Cmd.info "sweep" ~exits:std_exits
@@ -894,8 +792,7 @@ let sweep_cmd =
              session: learned clauses, predicate relations and heuristic \
              state carry from bound to bound")
     Term.(const run $ circuit $ prop $ bounds $ engine $ timeout $ scratch
-          $ trace_out $ heartbeat $ metrics_out $ flight $ flight_out
-          $ engine_opts_term $ jobs $ ledger_term)
+          $ telemetry_term $ req_term $ jobs $ ledger_term)
 
 (* ---- serve: JSON-lines daemon over warm solver sessions ---- *)
 
@@ -969,66 +866,24 @@ let sat_cmd =
                  strengthened, eliminated, probed, equivalences, rounds) and \
                  final clause/variable counts as JSON")
   in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last CDCL trace events \
-                         (decisions, conflicts, restarts, heartbeats), dumped \
-                         for $(b,rtlsat profile) when the solve times out, \
-                         dies, or receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder and run uninstrumented" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when the solve ends normally")
-  in
-  let run file timeout opts stats_json flight flight_out ledger =
-    let simplify = opts.eo_simplify and inprocess = opts.eo_inprocess in
+  let run file timeout req stats_json tel ledger =
+    let simplify = req.Req.simplify and inprocess = req.Req.inprocess in
     let ic = open_in_bin file in
     let text = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    let obs =
-      if flight then Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
-      else Obs.disabled
-    in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
     let t_start = Mono.now () in
-    let deadline = t_start +. timeout in
     let solver_out = ref None in
-    let result =
-      try
-        Rtlsat_sat.Dimacs.solve_text ~deadline ~simplify ~inprocess ~solver_out
-          ~obs text
-      with e ->
-        ignore (dump_flight ());
-        raise e
+    let result, artifacts =
+      with_telemetry tel ?stats:stats_json
+        ~failed:(function `Timeout -> true | `Sat _ | `Unsat -> false)
+      @@ fun obs ->
+      Rtlsat_sat.Dimacs.solve_text ~deadline:(t_start +. timeout) ~simplify
+        ~inprocess ~solver_out ~obs text
     in
     let wall = Mono.now () -. t_start in
+    let verdict =
+      match result with `Sat _ -> "sat" | `Unsat -> "unsat" | `Timeout -> "timeout"
+    in
     Rtlsat_sat.Dimacs.print_result Format.std_formatter result;
     (match (stats_json, !solver_out) with
      | Some path, Some solver ->
@@ -1038,12 +893,7 @@ let sat_cmd =
          (Json.Obj
             [ ("schema", Json.Str "rtlsat.sat/1");
               ("file", Json.Str (Filename.basename file));
-              ( "result",
-                Json.Str
-                  (match result with
-                   | `Sat _ -> "sat"
-                   | `Unsat -> "unsat"
-                   | `Timeout -> "timeout") );
+              ("result", Json.Str verdict);
               ( "simplify",
                 Json.Obj
                   [ ("enabled", Json.Bool simplify);
@@ -1056,20 +906,11 @@ let sat_cmd =
               ("vars", Json.Int (Rtlsat_sat.Cdcl.n_vars solver));
               ("clauses", Json.Int (Rtlsat_sat.Cdcl.n_clauses solver));
               ("conflicts", Json.Int (Rtlsat_sat.Cdcl.n_conflicts solver)) ]);
-       Format.printf "stats written to %s@." path
      | _ -> ());
-    let dumped =
-      match result with `Timeout -> dump_flight () | `Sat _ | `Unsat -> false
-    in
+    print_written artifacts;
     ledger_append ledger ~subcommand:"sat"
-      ~instance:(Filename.basename file) ~engine:"cdcl"
-      ~options:(Printf.sprintf "simplify=%b,inprocess=%d" simplify inprocess)
-      ~verdict:
-        (match result with
-         | `Sat _ -> "sat"
-         | `Unsat -> "unsat"
-         | `Timeout -> "timeout")
-      ~wall_s:wall
+      ~instance:(Filename.basename file) ~engine:"cdcl" ~req ~options:[]
+      ~verdict ~wall_s:wall
       ~counters:
         (match !solver_out with
          | Some solver ->
@@ -1079,19 +920,14 @@ let sat_cmd =
              ("conflicts", Rtlsat_sat.Cdcl.n_conflicts solver);
            ]
          | None -> [])
-      ~artifacts:
-        (List.concat
-           [
-             (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
-           ]);
+      ~artifacts;
     match result with `Timeout -> exit 1 | `Sat _ | `Unsat -> ()
   in
   Cmd.v
     (Cmd.info "sat" ~exits:std_exits
        ~doc:"Solve a DIMACS CNF file with the CDCL engine")
-    Term.(const run $ file $ timeout $ engine_opts_term $ stats_json
-          $ flight $ flight_out $ ledger_term)
+    Term.(const run $ file $ timeout $ req_term $ stats_json
+          $ flight_only_term $ ledger_term)
 
 (* ---- export ---- *)
 
@@ -1174,25 +1010,10 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ]
            ~doc:"One line per instance on stderr (verdicts + certificate)")
   in
-  let trace_out =
-    trace_term
-      ~doc:"Write a JSON-lines campaign trace (rate-limited fuzz.progress \
-            events with instance/verdict/failure totals)"
-  in
   let run seed count max_nodes max_regs deadline timeout json_out out_dir
-      verbose trace_out opts ledger =
-    let obs =
-      Obs.create
-        ?trace:
-          (Option.map
-             (fun path ->
-                try Trace.to_file path
-                with Sys_error msg ->
-                  Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                  exit 2)
-             trace_out)
-        ()
-    in
+      verbose trace_out req ledger =
+    (* always enabled: the summary's metrics come from this handle *)
+    let obs = Obs.create ?trace:(Option.map open_trace trace_out) () in
     let log =
       if verbose then
         Some
@@ -1205,7 +1026,7 @@ let fuzz_cmd =
         Fuzz.default with
         Fuzz.seed;
         count;
-        req = req_of_opts ~timeout opts;
+        req = { req with Req.timeout };
         obs;
         log;
         deadline = Option.value deadline ~default:infinity;
@@ -1236,27 +1057,24 @@ let fuzz_cmd =
               Filename.concat dir
                 (Printf.sprintf "fuzz_seed%d.rtl" f.Fuzz.f_seed)
             in
-            let oc = open_out path in
-            output_string oc (Fuzz_case.to_string f.Fuzz.f_case);
-            close_out oc;
+            write_file path (Fuzz_case.to_string f.Fuzz.f_case);
             Format.printf "shrunk case written to %s@." path)
          s.Fuzz.failures
      | _ -> ());
-    (match json_out with
-     | Some path ->
-       write_json path (Fuzz.summary_json cfg s);
-       Format.printf "summary written to %s@." path
-     | None -> ());
+    Option.iter (fun path -> write_json path (Fuzz.summary_json cfg s)) json_out;
     Obs.close obs;
-    (match trace_out with
-     | Some path -> Format.printf "trace written to %s@." path
-     | None -> ());
+    let artifacts =
+      List.map (fun p -> ("summary", p)) (Option.to_list json_out)
+      @ List.map (fun p -> ("trace", p)) (Option.to_list trace_out)
+    in
+    print_written artifacts;
     ledger_append ledger ~subcommand:"fuzz"
-      ~instance:(Printf.sprintf "seed%d" seed) ~engine:"all"
+      ~instance:(Printf.sprintf "seed%d" seed) ~engine:"all" ~req
       ~options:
-        (Printf.sprintf
-           "count=%d,max_nodes=%d,max_regs=%d,simplify=%b,inprocess=%d" count
-           max_nodes max_regs opts.eo_simplify opts.eo_inprocess)
+        [
+          Printf.sprintf "count=%d,max_nodes=%d,max_regs=%d" count max_nodes
+            max_regs;
+        ]
       ~verdict:(if s.Fuzz.failures = [] then "ok" else "failures")
       ~wall_s:s.Fuzz.wall
       ~counters:
@@ -1267,12 +1085,7 @@ let fuzz_cmd =
           ("timeouts", s.Fuzz.timeouts);
           ("failures", List.length s.Fuzz.failures);
         ]
-      ~artifacts:
-        (List.concat
-           [
-             (match json_out with Some p -> [ ("summary", p) ] | None -> []);
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-           ]);
+      ~artifacts;
     if s.Fuzz.failures <> [] then exit 1
   in
   Cmd.v
@@ -1280,7 +1093,7 @@ let fuzz_cmd =
        ~doc:"Differential fuzzing: random circuits, all engines \
              cross-checked, failures shrunk")
     Term.(const run $ seed $ count $ max_nodes $ max_regs $ deadline $ timeout
-          $ json_out $ out_dir $ verbose $ trace_out $ engine_opts_term
+          $ json_out $ out_dir $ verbose $ trace_term $ req_term
           $ ledger_term)
 
 (* ---- profile: the trace-replay profiler ---- *)

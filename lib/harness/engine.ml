@@ -117,6 +117,50 @@ let snap obs = if obs.Obs.enabled then Some (Obs.snapshot obs) else None
 
 let wrong_mode fn = invalid_arg ("Engine." ^ fn ^ ": wrong session mode")
 
+(* ---- the hybrid request translation and witness replay, shared with
+   k-induction and the cube-and-conquer driver ---- *)
+
+let hybrid_base = function
+  | Hdpll -> Some Solver.hdpll
+  | Hdpll_s -> Some Solver.hdpll_s
+  | Hdpll_sp -> Some Solver.hdpll_sp
+  | Hdpll_p -> Some Solver.hdpll_p
+  | Bitblast | Lazy_cdp -> None
+
+let is_hybrid id = Option.is_some (hybrid_base id)
+
+let hybrid_options id (req : Req.t) ~deadline =
+  match hybrid_base id with
+  | None -> invalid_arg ("Engine.hybrid_options: " ^ name_of id)
+  | Some base ->
+    {
+      base with
+      Solver.deadline;
+      learn_threshold = req.Req.learn_threshold;
+      obs = req.Req.obs;
+      dump_graph_max = req.Req.dump_graph_max;
+      split = req.Req.split;
+      simplify = req.Req.simplify;
+      inprocess = req.Req.inprocess;
+      cancel = req.Req.cancel;
+      on_learn = req.Req.on_learn;
+    }
+
+let replay inst value =
+  if Bmc.witness_ok inst value then Sat else Abort "witness failed replay"
+
+let hybrid_verdict inst enc = function
+  | Solver.Unsat -> Unsat
+  | Solver.Timeout -> Timeout
+  | Solver.Sat m -> replay inst (fun n -> m.(E.var enc n))
+
+(* one-shot encoding with the violation asserted as a unit clause *)
+let encode_instance obs inst =
+  Obs.span obs Obs.Encode (fun () ->
+      let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
+      E.assume_bool enc inst.Bmc.violation true;
+      enc)
+
 (* ---- the four hybrid configurations, over Solver / Solver.Session ---- *)
 
 module Make_hybrid (C : sig
@@ -126,30 +170,6 @@ module Make_hybrid (C : sig
   let name = name_of C.id
   let caps = caps_of C.id
 
-  let base_options () =
-    match C.id with
-    | Hdpll -> Solver.hdpll
-    | Hdpll_s -> Solver.hdpll_s
-    | Hdpll_sp -> Solver.hdpll_sp
-    | Hdpll_p -> Solver.hdpll_p
-    | Bitblast | Lazy_cdp -> invalid_arg "Engine.Make_hybrid"
-
-  let options (req : Req.t) ~deadline ~one_shot =
-    let base = base_options () in
-    {
-      base with
-      Solver.deadline;
-      Solver.learn_threshold = req.Req.learn_threshold;
-      Solver.obs = req.Req.obs;
-      Solver.dump_graph = (if one_shot then req.Req.dump_graph else None);
-      Solver.dump_graph_max = req.Req.dump_graph_max;
-      Solver.split = req.Req.split;
-      Solver.simplify = req.Req.simplify;
-      Solver.inprocess = req.Req.inprocess;
-      Solver.cancel = req.Req.cancel;
-      Solver.on_learn = req.Req.on_learn;
-    }
-
   type mode =
     | One_shot of { inst : Bmc.instance; enc : E.t }
     | Sweep of { sw : Bmc.sweep; enc : E.t; sess : Solver.Session.session }
@@ -158,13 +178,7 @@ module Make_hybrid (C : sig
 
   let create ~req inst =
     let t0 = Mono.now () in
-    let obs = req.Req.obs in
-    let enc =
-      Obs.span obs Obs.Encode (fun () ->
-          let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-          E.assume_bool enc inst.Bmc.violation true;
-          enc)
-    in
+    let enc = encode_instance req.Req.obs inst in
     { s_req = req; s_created = t0; mode = One_shot { inst; enc } }
 
   let session ~req ?semantics source ~prop =
@@ -177,37 +191,37 @@ module Make_hybrid (C : sig
     (* the per-call deadline is passed to [Session.solve]; the options
        deadline is a never-fires placeholder *)
     let sess =
-      Solver.Session.create ~options:(options req ~deadline:infinity ~one_shot:false) enc
+      Solver.Session.create
+        ~options:(hybrid_options id req ~deadline:infinity)
+        enc
     in
     { s_req = req; s_created = Mono.now (); mode = Sweep { sw; enc; sess } }
+
+  let mk_run ~t0 ~obs (stats : Solver.stats) verdict =
+    {
+      verdict;
+      time = Mono.now () -. t0;
+      relations = stats.Solver.relations;
+      learn_time = stats.Solver.learn_time;
+      decisions = stats.Solver.decisions;
+      conflicts = stats.Solver.conflicts;
+      stats = Some stats;
+      metrics = snap obs;
+    }
 
   let solve ~req s =
     match s.mode with
     | Sweep _ -> wrong_mode "solve"
     | One_shot { inst; enc } ->
       let t0 = s.s_created in
-      let obs = s.s_req.Req.obs in
-      let deadline = Req.deadline_from req t0 in
-      let options = options s.s_req ~deadline ~one_shot:true in
-      let { Solver.result; stats; _ } = Solver.solve ~options enc in
-      let mk verdict =
+      let options =
         {
-          verdict;
-          time = Mono.now () -. t0;
-          relations = stats.Solver.relations;
-          learn_time = stats.Solver.learn_time;
-          decisions = stats.Solver.decisions;
-          conflicts = stats.Solver.conflicts;
-          stats = Some stats;
-          metrics = snap obs;
+          (hybrid_options id s.s_req ~deadline:(Req.deadline_from req t0)) with
+          Solver.dump_graph = s.s_req.Req.dump_graph;
         }
       in
-      (match result with
-       | Solver.Unsat -> mk Unsat
-       | Solver.Timeout -> mk Timeout
-       | Solver.Sat m ->
-         if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then mk Sat
-         else mk (Abort "witness failed replay"))
+      let { Solver.result; stats; _ } = Solver.solve ~options enc in
+      mk_run ~t0 ~obs:s.s_req.Req.obs stats (hybrid_verdict inst enc result)
 
   let sweep_step ~req s ~bound =
     match s.mode with
@@ -215,38 +229,18 @@ module Make_hybrid (C : sig
     | Sweep { sw; enc; sess } ->
       let obs = s.s_req.Req.obs in
       let t0 = Mono.now () in
-      let vnode = Bmc.sweep_violation sw ~bound in
+      let inst = Bmc.sweep_instance sw ~bound in
       Obs.span obs Obs.Encode (fun () -> E.extend enc);
       let r =
         Solver.Session.solve
-          ~assumptions:[| Rtlsat_constr.Types.Pos (E.var enc vnode) |]
+          ~assumptions:
+            [| Rtlsat_constr.Types.Pos (E.var enc inst.Bmc.violation) |]
           ~deadline:(Req.deadline_from req t0) sess
       in
-      let stats = r.Solver.Session.outcome.Solver.stats in
-      let mk verdict =
-        {
-          verdict;
-          time = Mono.now () -. t0;
-          relations = stats.Solver.relations;
-          learn_time = stats.Solver.learn_time;
-          decisions = stats.Solver.decisions;
-          conflicts = stats.Solver.conflicts;
-          stats = Some stats;
-          metrics = snap obs;
-        }
-      in
-      let sw_run =
-        match r.Solver.Session.outcome.Solver.result with
-        | Solver.Unsat -> mk Unsat
-        | Solver.Timeout -> mk Timeout
-        | Solver.Sat m ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then mk Sat
-          else mk (Abort "witness failed replay")
-      in
+      let { Solver.result; stats; _ } = r.Solver.Session.outcome in
       {
         sw_bound = bound;
-        sw_run;
+        sw_run = mk_run ~t0 ~obs stats (hybrid_verdict inst enc result);
         sw_carried_clauses = r.Solver.Session.carried_clauses;
         sw_carried_relations = r.Solver.Session.carried_relations;
       }
@@ -272,6 +266,11 @@ module Bitblast_e : S = struct
     | Sweep of { sw : Bmc.sweep; bb : Bb.t }
 
   type session = { s_req : Req.t; s_created : float; mode : mode }
+
+  let verdict_of inst bb = function
+    | Bb.Unsat -> Unsat
+    | Bb.Timeout -> Timeout
+    | Bb.Sat -> replay inst (Bb.node_value bb)
 
   let create ~req inst =
     let t0 = Mono.now () in
@@ -326,15 +325,9 @@ module Bitblast_e : S = struct
          is sound *)
       if s.s_req.Req.simplify then simplify_with_obs obs ~elim:true bb;
       let verdict =
-        match
-          Bb.solve ~deadline ~inprocess:s.s_req.Req.inprocess
-            ~cancel:s.s_req.Req.cancel bb
-        with
-        | Bb.Unsat -> Unsat
-        | Bb.Timeout -> Timeout
-        | Bb.Sat ->
-          if Bmc.witness_ok inst (Bb.node_value bb) then Sat
-          else Abort "witness failed replay"
+        verdict_of inst bb
+          (Bb.solve ~deadline ~inprocess:s.s_req.Req.inprocess
+             ~cancel:s.s_req.Req.cancel bb)
       in
       {
         verdict;
@@ -354,7 +347,7 @@ module Bitblast_e : S = struct
       let obs = s.s_req.Req.obs in
       let sat = Bb.solver bb in
       let t0 = Mono.now () in
-      let vnode = Bmc.sweep_violation sw ~bound in
+      let inst = Bmc.sweep_instance sw ~bound in
       Obs.span obs Obs.Encode (fun () -> Bb.extend bb);
       (* lemmas carried into this call: conflict-learned clauses
          retained so far, as counted by the CDCL kernel *)
@@ -367,17 +360,10 @@ module Bitblast_e : S = struct
          through the substitution) *)
       if s.s_req.Req.simplify then simplify_with_obs obs ~elim:false bb;
       let verdict =
-        match
-          Bb.solve ~deadline:(Req.deadline_from req t0)
-            ~inprocess:s.s_req.Req.inprocess ~cancel:s.s_req.Req.cancel
-            ~assumptions:[ Bb.bool_lit bb vnode ] bb
-        with
-        | Bb.Unsat -> Unsat
-        | Bb.Timeout -> Timeout
-        | Bb.Sat ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (Bb.node_value bb) then Sat
-          else Abort "witness failed replay"
+        verdict_of inst bb
+          (Bb.solve ~deadline:(Req.deadline_from req t0)
+             ~inprocess:s.s_req.Req.inprocess ~cancel:s.s_req.Req.cancel
+             ~assumptions:[ Bb.bool_lit bb inst.Bmc.violation ] bb)
       in
       let sw_run =
         {
@@ -418,20 +404,20 @@ module Lazy_cdp_e : S = struct
 
   let create ~req inst =
     let t0 = Mono.now () in
-    let obs = req.Req.obs in
-    let enc =
-      Obs.span obs Obs.Encode (fun () ->
-          let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-          E.assume_bool enc inst.Bmc.violation true;
-          enc)
-    in
+    let enc = encode_instance req.Req.obs inst in
     { s_req = req; s_created = t0; mode = One_shot { inst; enc } }
 
   let session ~req ?semantics source ~prop =
     let sw = Bmc.sweep source ~prop ?semantics () in
     { s_req = req; s_created = Mono.now (); mode = Sweep { sw } }
 
-  let mk_run ~t0 ~obs verdict (st : Lz.stats) =
+  let mk_run ~t0 ~obs inst enc (result, (st : Lz.stats)) =
+    let verdict =
+      match result with
+      | Lz.Unsat -> Unsat
+      | Lz.Timeout -> Timeout
+      | Lz.Sat m -> replay inst (fun n -> m.(E.var enc n))
+    in
     {
       verdict;
       time = Mono.now () -. t0;
@@ -448,20 +434,9 @@ module Lazy_cdp_e : S = struct
     | Sweep _ -> wrong_mode "solve"
     | One_shot { inst; enc } ->
       let t0 = s.s_created in
-      let obs = s.s_req.Req.obs in
       let deadline = Req.deadline_from req t0 in
-      let result, st =
-        Lz.solve ~deadline ~cancel:s.s_req.Req.cancel enc.E.problem
-      in
-      let verdict =
-        match result with
-        | Lz.Unsat -> Unsat
-        | Lz.Timeout -> Timeout
-        | Lz.Sat m ->
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Sat
-          else Abort "witness failed replay"
-      in
-      mk_run ~t0 ~obs verdict st
+      mk_run ~t0 ~obs:s.s_req.Req.obs inst enc
+        (Lz.solve ~deadline ~cancel:s.s_req.Req.cancel enc.E.problem)
 
   let sweep_step ~req s ~bound =
     match s.mode with
@@ -469,29 +444,14 @@ module Lazy_cdp_e : S = struct
     | Sweep { sw } ->
       let obs = s.s_req.Req.obs in
       let t0 = Mono.now () in
-      let vnode = Bmc.sweep_violation sw ~bound in
-      let enc =
-        Obs.span obs Obs.Encode (fun () ->
-            let enc = E.encode (Unroll.combo (Bmc.sweep_unrolled sw)) in
-            E.assume_bool enc vnode true;
-            enc)
-      in
-      let result, st =
-        Lz.solve ~deadline:(Req.deadline_from req t0)
-          ~cancel:s.s_req.Req.cancel enc.E.problem
-      in
-      let verdict =
-        match result with
-        | Lz.Unsat -> Unsat
-        | Lz.Timeout -> Timeout
-        | Lz.Sat m ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Sat
-          else Abort "witness failed replay"
-      in
+      let inst = Bmc.sweep_instance sw ~bound in
+      let enc = encode_instance obs inst in
       {
         sw_bound = bound;
-        sw_run = mk_run ~t0 ~obs verdict st;
+        sw_run =
+          mk_run ~t0 ~obs inst enc
+            (Lz.solve ~deadline:(Req.deadline_from req t0)
+               ~cancel:s.s_req.Req.cancel enc.E.problem);
         sw_carried_clauses = 0;
         sw_carried_relations = 0;
       }

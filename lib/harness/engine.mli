@@ -98,6 +98,30 @@ type caps = {
 
 val caps_of : id -> caps
 
+(** {1 The hybrid engines' solver options} *)
+
+val is_hybrid : id -> bool
+(** The four HDPLL configurations; [false] for the bit-blast and lazy
+    CDP baselines, which have no interval split heap. *)
+
+val hybrid_options :
+  id -> Req.t -> deadline:float -> Rtlsat_core.Solver.options
+(** The HDPLL configuration of [id] with the request's solver knobs
+    ([obs], [cancel], [split], [simplify], [inprocess],
+    [learn_threshold], [on_learn], [dump_graph_max]) and the absolute
+    [deadline].  [dump_graph] stays off: only one-shot [solve] sets it.
+    @raise Invalid_argument unless [is_hybrid id]. *)
+
+val hybrid_verdict :
+  Rtlsat_bmc.Bmc.instance ->
+  Rtlsat_constr.Encode.t ->
+  Rtlsat_core.Solver.result ->
+  verdict
+(** A hybrid solver result as a verdict: a model is replayed through
+    the RTL simulator ({!Rtlsat_bmc.Bmc.witness_ok}) and becomes [Sat]
+    only if the witness replays, [Abort "witness failed replay"]
+    otherwise. *)
+
 (** The uniform engine surface.
 
     Contexts come in two modes.  [create] builds a {e one-shot}

@@ -2,22 +2,17 @@ module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
+module Mono = Rtlsat_obs.Mono
 
 type outcome = Proved of int | Falsified of int | Unknown
 
-let solve_encoded options enc =
-  match (Solver.solve ~options enc).Solver.result with
-  | Solver.Sat _ -> `Sat
-  | Solver.Unsat -> `Unsat
-  | Solver.Timeout -> `Timeout
+let engine = Engine.Hdpll_sp
 
-let base_case options circuit prop k =
+let base_case req circuit prop k =
   let inst = Bmc.make circuit ~prop ~bound:k ~semantics:Bmc.Any () in
-  let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-  E.assume_bool enc inst.Bmc.violation true;
-  solve_encoded options enc
+  (Engine.run_instance ~req engine inst).Engine.verdict
 
-let step_case options circuit prop k =
+let step_case req circuit prop k =
   (* frames 0..k from an arbitrary state; prop holds in 0..k-1 and
      fails in frame k *)
   let u = Unroll.unroll ~free_init:true circuit ~roots:[ prop ] ~frames:(k + 1) in
@@ -26,20 +21,22 @@ let step_case options circuit prop k =
     E.assume_bool enc (Unroll.node_at u prop f) true
   done;
   E.assume_bool enc (Unroll.node_at u prop k) false;
-  solve_encoded options enc
+  let deadline = Req.deadline_from req (Mono.now ()) in
+  let options = Engine.hybrid_options engine req ~deadline in
+  (Solver.solve ~options enc).Solver.result
 
-let prove ?(options = Solver.hdpll_sp) ?(max_k = 20) circuit ~prop =
+let prove ?(req = Req.default) ?(max_k = 20) circuit ~prop =
   let rec go k =
     if k > max_k then Unknown
     else begin
-      match base_case options circuit prop k with
-      | `Sat -> Falsified k
-      | `Timeout -> Unknown
-      | `Unsat ->
-        (match step_case options circuit prop k with
-         | `Unsat -> Proved k
-         | `Timeout -> Unknown
-         | `Sat -> go (k + 1))
+      match base_case req circuit prop k with
+      | Engine.Sat -> Falsified k
+      | Engine.Timeout | Engine.Abort _ -> Unknown
+      | Engine.Unsat ->
+        (match step_case req circuit prop k with
+         | Solver.Unsat -> Proved k
+         | Solver.Timeout -> Unknown
+         | Solver.Sat _ -> go (k + 1))
     end
   in
   go 1

@@ -88,6 +88,7 @@ val with_deadline : t -> float -> t
 
 val options_string : t -> string
 (** The ledger-facing option digest,
-    ["split=<b>,simplify=<b>,inprocess=<n>"] — callers append
-    command-specific fields (bound, jobs, …) around it so ledger
-    grouping keys stay stable. *)
+    ["split=<b>,simplify=<b>,inprocess=<n>"] — every ledger record's
+    [options] starts with it, and callers append command-specific
+    fields (bound, jobs, …) after it so ledger grouping keys stay
+    stable. *)

@@ -146,19 +146,6 @@ let portfolio ?(req = Req.default) ~j ~engine inst =
 
 (* ---- cube-and-conquer ---- *)
 
-let is_hybrid = function
-  | Engine.Hdpll | Engine.Hdpll_s | Engine.Hdpll_sp | Engine.Hdpll_p ->
-    true
-  | Engine.Bitblast | Engine.Lazy_cdp -> false
-
-let base_options = function
-  | Engine.Hdpll -> Solver.hdpll
-  | Engine.Hdpll_s -> Solver.hdpll_s
-  | Engine.Hdpll_sp -> Solver.hdpll_sp
-  | Engine.Hdpll_p -> Solver.hdpll_p
-  | Engine.Bitblast | Engine.Lazy_cdp ->
-    invalid_arg "Parallel: cube-and-conquer needs a hybrid engine"
-
 (* what may cross the exchange: unit clauses over any atom (interval
    bounds included) and binary clauses over Boolean literals only —
    [Session.add_clause] restricts multi-atom clauses to pure Boolean,
@@ -201,30 +188,13 @@ type cube_result = {
   c_metrics : Obs.snapshot;
 }
 
-type cube_worker_verdict = W_sat | W_unsat_all | W_timeout | W_abort of string
-
 let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
-  if not (is_hybrid engine) then
+  if not (Engine.is_hybrid engine) then
     invalid_arg "Parallel.cube_solve: cube-and-conquer needs a hybrid engine";
   let obs = req.Req.obs in
   let j = max 1 j in
   let t0 = Mono.now () in
   let deadline = Req.deadline_from req t0 in
-  let opts_for ~obs:o ~deadline ?cancel ?on_learn () =
-    let base = base_options engine in
-    {
-      base with
-      Solver.deadline;
-      Solver.obs = o;
-      Solver.learn_threshold = req.Req.learn_threshold;
-      Solver.split = req.Req.split;
-      Solver.simplify = req.Req.simplify;
-      Solver.inprocess = req.Req.inprocess;
-      Solver.cancel =
-        (match cancel with Some c -> c | None -> req.Req.cancel);
-      Solver.on_learn = on_learn;
-    }
-  in
   let encode () =
     let e = E.encode (Unroll.combo inst.Bmc.unrolled) in
     E.assume_bool e inst.Bmc.violation true;
@@ -250,20 +220,16 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
   let enc0 = encode () in
   let probe_deadline = Float.min deadline (t0 +. Float.max 0.1 probe_budget) in
   let sess0 =
-    Solver.Session.create ~options:(opts_for ~obs ~deadline:probe_deadline ()) enc0
+    Solver.Session.create
+      ~options:(Engine.hybrid_options engine req ~deadline:probe_deadline)
+      enc0
   in
   let probe = Solver.Session.solve ~deadline:probe_deadline sess0 in
   let probe_time = Mono.now () -. t0 in
-  let verdict_of_result enc = function
-    | Solver.Unsat -> Engine.Unsat
-    | Solver.Timeout -> Engine.Timeout
-    | Solver.Sat m ->
-      if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engine.Sat
-      else Engine.Abort "witness failed replay"
+  let verdict_of enc (r : Solver.Session.solve_result) =
+    Engine.hybrid_verdict inst enc r.Solver.Session.outcome.Solver.result
   in
-  match
-    verdict_of_result enc0 probe.Solver.Session.outcome.Solver.result
-  with
+  match verdict_of enc0 probe with
   | (Engine.Sat | Engine.Unsat | Engine.Abort _) as v ->
     finish ~probe_time ~metrics:(Obs.snapshot obs) v
   | Engine.Timeout when Mono.now () >= deadline ->
@@ -274,8 +240,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       (* nothing to cube on (no splittable word interval): spend the
          remaining budget on the probe session sequentially *)
       let r = Solver.Session.solve ~deadline sess0 in
-      finish ~probe_time ~metrics:(Obs.snapshot obs)
-        (verdict_of_result enc0 r.Solver.Session.outcome.Solver.result)
+      finish ~probe_time ~metrics:(Obs.snapshot obs) (verdict_of enc0 r)
     end
     else begin
       let cubes = Array.of_list (cubes_of candidates (max (2 * j) 4)) in
@@ -289,12 +254,14 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
         let on_learn cl =
           if exportable cl then Exchange.push xchg (w, cl)
         in
+        let wreq = { req with Req.obs = o; cancel; on_learn = Some on_learn } in
         let sess =
           Solver.Session.create
-            ~options:(opts_for ~obs:o ~deadline ~cancel ~on_learn ())
+            ~options:(Engine.hybrid_options engine wreq ~deadline)
             enc
         in
-        let my = ref W_unsat_all in
+        (* Unsat until a cube is not refuted *)
+        let my = ref Engine.Unsat in
         let continue = ref true in
         while !continue && not (Atomic.get cancel) do
           let i = Atomic.fetch_and_add next 1 in
@@ -306,16 +273,13 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
                appear negated in them, never resolved away) *)
             Exchange.drain xchg (fun (src, cl) ->
                 if src <> w then Solver.Session.add_clause sess cl);
-            let r = Solver.Session.solve ~assumptions:cubes.(i) ~deadline sess in
-            match r.Solver.Session.outcome.Solver.result with
-            | Solver.Unsat -> Atomic.incr refuted
-            | Solver.Timeout ->
-              my := W_timeout;
-              continue := false
-            | Solver.Sat m ->
-              if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then
-                my := W_sat
-              else my := W_abort "witness failed replay";
+            match
+              verdict_of enc
+                (Solver.Session.solve ~assumptions:cubes.(i) ~deadline sess)
+            with
+            | Engine.Unsat -> Atomic.incr refuted
+            | v ->
+              my := v;
               continue := false
           end
         done;
@@ -324,7 +288,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let nworkers = min j ncubes in
       let rr =
         race
-          ~decisive:(fun (v, _) -> v = W_sat)
+          ~decisive:(fun (v, _) -> v = Engine.Sat)
           (Array.init nworkers (fun _ -> worker))
       in
       let refuted = Atomic.get refuted in
@@ -337,7 +301,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let abort_msg =
         Array.to_list rr.entries
         |> List.find_map (function
-          | Some (W_abort m, _) -> Some m
+          | Some (Engine.Abort m, _) -> Some m
           | _ -> None)
       in
       let verdict =

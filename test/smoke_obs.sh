@@ -13,6 +13,7 @@
 #   6. cross-run ledger: solves append rtlsat.run/1 records (env
 #      fingerprint included), rtlsat runs lists them, and trace-diff
 #      exits 1 on the committed w61 verdict flip
+#   7. a --no-split sweep's ledger record says split=false
 set -eu
 
 here=$(dirname "$0")
@@ -95,5 +96,12 @@ if "$rtlsat" trace-diff "$root/test/fixtures/w61_split_on.jsonl" \
   exit 1
 fi
 grep -q "first divergence at key event" "$profile"
+
+# 7. every ledger options digest carries the request knobs: a
+#    --no-split sweep is told apart from a default one
+rm -f "$ledger"
+"$rtlsat" sweep -c b01 -p 1 --bounds 3,5 --no-split --ledger "$ledger" \
+  > /dev/null
+grep -q '"options":"split=false,' "$ledger"
 
 echo "smoke_obs: all checks passed"

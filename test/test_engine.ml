@@ -185,6 +185,55 @@ let test_caps_registry () =
          (Engine.of_name M.name = Some id))
     Engine.all_ids Engine.all
 
+(* ---- the hybrid request translation and the replay guard ---- *)
+
+let test_hybrid_options () =
+  let obs = Obs.create () in
+  let cancel = Atomic.make false in
+  let req =
+    Req.make ~obs ~cancel ~learn_threshold:3 ~split:false ~simplify:false
+      ~inprocess:7 ~dump_graph:"graphs" ~dump_graph_max:4 ()
+  in
+  List.iter
+    (fun id ->
+       let label = Engine.name_of id in
+       check_bool (label ^ ": hybrid iff it has a split heap")
+         (Engine.caps_of id).Engine.honors_split (Engine.is_hybrid id);
+       match Engine.hybrid_options id req ~deadline:42.0 with
+       | o ->
+         let base =
+           match id with
+           | Engine.Hdpll -> Solver.hdpll
+           | Engine.Hdpll_s -> Solver.hdpll_s
+           | Engine.Hdpll_sp -> Solver.hdpll_sp
+           | _ -> Solver.hdpll_p
+         in
+         check_bool (label ^ ": is hybrid") true (Engine.is_hybrid id);
+         check_bool (label ^ ": preset kept") true
+           (o.Solver.structural = base.Solver.structural
+            && o.Solver.predicate_learning = base.Solver.predicate_learning);
+         check_bool (label ^ ": request knobs carried") true
+           (o.Solver.deadline = 42.0 && o.Solver.obs == obs
+            && o.Solver.cancel == cancel
+            && o.Solver.learn_threshold = Some 3
+            && (not o.Solver.split) && (not o.Solver.simplify)
+            && o.Solver.inprocess = 7 && o.Solver.dump_graph_max = 4);
+         check_bool (label ^ ": no graph dump") true (o.Solver.dump_graph = None)
+       | exception Invalid_argument _ ->
+         check_bool (label ^ ": only baselines refused") false
+           (Engine.is_hybrid id))
+    Engine.all_ids
+
+(* b01_1(5) is Unsat, so no model replays: the guard must turn one into
+   an Abort, never a Sat *)
+let test_replay_guard () =
+  let inst = Registry.instance ~circuit:"b01" ~prop:"1" ~bound:5 in
+  let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
+  let model = Array.make (Rtlsat_constr.Problem.n_vars enc.E.problem) 0 in
+  check_bool "bogus model aborts" true
+    (Engine.hybrid_verdict inst enc (Solver.Sat model)
+     = Engine.Abort "witness failed replay")
+
 (* ---- capability declarations: observed behaviour ---- *)
 
 (* b13/1 at bound 10 reaches the search loop in every configuration:
@@ -374,6 +423,9 @@ let () =
           Alcotest.test_case "sessionless carries nothing" `Quick
             test_caps_sessions;
           Alcotest.test_case "mode contract" `Quick test_mode_contract;
+          Alcotest.test_case "hybrid options from the request" `Quick
+            test_hybrid_options;
+          Alcotest.test_case "witness replay guard" `Quick test_replay_guard;
         ] );
       ( "serve",
         [
