@@ -27,7 +27,7 @@ let new_word p ?name dom = new_var p ?name (Word dom)
 
 let n_vars p = Vec.length p.kinds
 let kind p v = Vec.get p.kinds v
-let is_bool_var p v = kind p v = Bool
+let is_bool_var p v = match kind p v with Bool -> true | Word _ -> false
 
 let initial_domain p v =
   match kind p v with Bool -> Interval.bool_dom | Word d -> d

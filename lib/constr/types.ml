@@ -99,7 +99,7 @@ let constr_vars c =
     | Pred { b; e } -> b :: List.map snd e.terms
     | Mux_w { sel; t; e; z } -> [ sel; t; e; z ]
   in
-  List.sort_uniq compare vars
+  List.sort_uniq Int.compare vars
 
 let eval_linexpr env e =
   List.fold_left (fun acc (c, v) -> acc + (c * env v)) e.const e.terms

@@ -8,26 +8,25 @@ type outcome =
   | Conflict_atoms of atom array
   | Resource_out
 
-let negate_le (e : linexpr) =
-  let n = lin_neg e in
-  { n with const = n.const + 1 }
-
-(* active inequalities under the current Boolean assignment: each is
-   (terms, const, guard atoms, original variables) *)
+(* active inequalities under the current Boolean assignment, read off
+   the compiled rows: each is (terms, const, guard atoms) *)
 let active_lins s =
   let out = ref [] in
-  let push e guards = out := (e.terms, e.const, guards) :: !out in
-  Array.iter
-    (fun c ->
+  let push cs (vs : int array) const guards =
+    out := (List.init (Array.length cs) (fun i -> (cs.(i), vs.(i))), const, guards) :: !out
+  in
+  Array.iteri
+    (fun ci c ->
+       let r = s.State.rows.(ci) in
        match c with
-       | Lin_le e -> push e []
-       | Lin_eq e ->
-         push e [];
-         push (lin_neg e) []
-       | Pred { b; e } ->
+       | Lin_le _ -> push r.State.coefs r.State.vars r.State.const []
+       | Lin_eq _ ->
+         push r.State.coefs r.State.vars r.State.const [];
+         push r.State.ncoefs r.State.vars r.State.nconst []
+       | Pred { b; _ } ->
          (match State.bool_value s b with
-          | 1 -> push e [ Pos b ]
-          | 0 -> push (negate_le e) [ Neg b ]
+          | 1 -> push r.State.coefs r.State.vars r.State.const [ Pos b ]
+          | 0 -> push r.State.ncoefs r.State.vars r.State.nconst [ Neg b ]
           | _ -> invalid_arg "Final_check: unassigned predicate guard")
        | Mux_w { sel; t; e; z } ->
          let chosen, guard =
@@ -36,9 +35,9 @@ let active_lins s =
            | 0 -> (e, Neg sel)
            | _ -> invalid_arg "Final_check: unassigned mux select"
          in
-         let eq = lin_of_terms [ (1, z); (-1, chosen) ] 0 in
-         push eq [ guard ];
-         push (lin_neg eq) [ guard ])
+         List.iter
+           (fun (eq : linexpr) -> out := (eq.terms, eq.const, [ guard ]) :: !out)
+           [ lin_of_terms [ (1, z); (-1, chosen) ] 0; lin_of_terms [ (-1, z); (1, chosen) ] 0 ])
     s.State.constrs;
   List.rev !out
 

@@ -6,24 +6,23 @@ type stats = {
   mutable strengthened : int;
 }
 
-(* every atom is a half-interval bound: (var, lower?, k) where
-   [true, k] means v >= k and [false, k] means v <= k (Booleans are
-   the one-bit special case, cf. State.bound_of) *)
-let bound_of = function
-  | Pos v -> (v, true, 1)
-  | Neg v -> (v, false, 0)
-  | Ge (v, k) -> (v, true, k)
-  | Le (v, k) -> (v, false, k)
+(* every atom is a half-interval bound: a lower bound (Pos, Ge) or an
+   upper bound (Neg, Le) on its variable, Booleans being the one-bit
+   special case *)
+let is_lo = function Pos _ | Ge _ -> true | Neg _ | Le _ -> false
+let bound = function Pos _ -> 1 | Neg _ -> 0 | Ge (_, k) | Le (_, k) -> k
 
 (* a ⇒ b: the interval of [a] is included in the interval of [b] *)
 let imp a b =
-  let va, la, ka = bound_of a and vb, lb, kb = bound_of b in
-  va = vb && la = lb && (if la then ka >= kb else ka <= kb)
+  atom_var a = atom_var b
+  && is_lo a = is_lo b
+  && if is_lo a then bound a >= bound b else bound a <= bound b
 
 (* a ∧ b unsatisfiable: opposite bounds on one variable that cross *)
 let incompatible a b =
-  let va, la, ka = bound_of a and vb, lb, kb = bound_of b in
-  va = vb && la <> lb && (if la then ka > kb else kb > ka)
+  atom_var a = atom_var b
+  && is_lo a <> is_lo b
+  && if is_lo a then bound a > bound b else bound b > bound a
 
 (* C subsumes D: every atom of C implies some atom of D, so C ⊨ D *)
 let subsumes c d =
@@ -34,15 +33,32 @@ let subsumes c d =
 let max_subsumer_len = 10
 
 (* the candidate variable of [c] with the fewest clause occurrences *)
-let best_var s c =
-  let occ v = List.length s.State.clause_occs.(v) in
+let best_var n_occ c =
   let best = ref (atom_var c.(0)) in
   Array.iter
     (fun a ->
        let v = atom_var a in
-       if occ v < occ !best then best := v)
+       if n_occ.(v) < n_occ.(!best) then best := v)
     c;
   !best
+
+(* the pass's own occurrence lists: var → clause indices, newest
+   first, each clause once per variable *)
+let occurrences s =
+  let occ = Array.make s.State.nv [] and n_occ = Array.make s.State.nv 0 in
+  Vec.iteri
+    (fun ci c ->
+       Array.iter
+         (fun a ->
+            let v = atom_var a in
+            match occ.(v) with
+            | cj :: _ when cj = ci -> ()
+            | l ->
+              occ.(v) <- ci :: l;
+              n_occ.(v) <- n_occ.(v) + 1)
+         c)
+    s.State.clauses;
+  (occ, n_occ)
 
 let run s =
   if State.decision_level s <> 0 then invalid_arg "Hsimp.run: decision level";
@@ -51,6 +67,7 @@ let run s =
   if n = 0 then st
   else begin
     let dead = Array.make n false in
+    let occ, n_occ = occurrences s in
     (* 1. root-bound cleaning of non-root clauses: a clause with an
        entailed atom is permanently satisfied, a falsified atom can
        never help.  Never shrink to the empty clause — a fully
@@ -106,7 +123,7 @@ let run s =
                      changed := true
                    end
                  end)
-              s.State.clause_occs.(best_var s c);
+              occ.(best_var n_occ c);
             (* self-subsuming strengthening: for an atom a of c, find a
                clause d with an atom b incompatible with a such that
                every atom of c either clashes with b or implies into
@@ -151,27 +168,14 @@ let run s =
                           end
                         end
                       end)
-                   s.State.clause_occs.(atom_var a))
+                   occ.(atom_var a))
               c
           end
         end
       done
     done;
-    (* 3. compact: rebuild the clause vector and occurrence lists
-       without the dead clauses, preserving every root clause
-       (mirrors State.reduce_clauses) *)
-    if st.subsumed > 0 || st.strengthened > 0 then begin
-      let kept = ref [] in
-      for ci = n - 1 downto 0 do
-        if not dead.(ci) then
-          kept :=
-            (Vec.get s.State.clauses ci, State.is_root_clause s ci) :: !kept
-      done;
-      Vec.clear s.State.clauses;
-      Vec.clear s.State.root_flags;
-      s.State.n_root_clauses <- 0;
-      Array.fill s.State.clause_occs 0 s.State.nv [];
-      List.iter (fun (cl, root) -> State.add_clause s ~root cl) !kept
-    end;
+    (* 3. compact: drop the dead clauses and re-attach the rest *)
+    if st.subsumed > 0 || st.strengthened > 0 then
+      State.filter_clauses s (fun ci _ -> not dead.(ci));
     st
   end

@@ -25,7 +25,9 @@ type stats = {
 }
 
 val run : State.t -> stats
-(** Simplify the clause database in place (the clause vector is
-    compacted, occurrence lists rebuilt).  Requires decision level 0.
+(** Simplify the clause database in place.  The pass builds its own
+    occurrence lists; the survivors are compacted and their watches
+    re-attached through {!State.filter_clauses}.  Requires decision
+    level 0.
     Sound mid-suspension: it never manufactures an empty clause, so a
     pending root conflict still surfaces through propagation. *)

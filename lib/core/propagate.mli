@@ -4,7 +4,18 @@
     propagation over (hybrid) clauses and interval constraint
     propagation over the arithmetic constraints (§2.2), every deduced
     fact carrying its antecedent atoms for the hybrid implication
-    graph. *)
+    graph.
+
+    Each trail event visits one watch slot of {!State.t}: the slot of
+    the atoms its direction can falsify (a lower-bound event on [v]
+    visits slot [2v], an upper-bound event slot [2v+1]).  In that slot,
+    a watch that is not falsified, or whose partner watch is entailed,
+    stays.  Otherwise the watch moves to another non-falsified atom, or
+    the clause propagates its other watch, or it is in conflict.  The
+    event then wakes every constraint over [v], each evaluated over its
+    compiled {!State.row} with no allocation until a tightening needs
+    its explanation.  With observability on, the same calls run inside
+    the Bcp and Icp spans. *)
 
 open Rtlsat_constr.Types
 
@@ -23,9 +34,11 @@ val run :
   State.t ->
   atom array option
 (** Propagate to fixpoint; [Some conflict] on inconsistency (the atoms
-    are entailed and jointly inconsistent).  [full] additionally scans
-    every clause and constraint once first — required for the initial
-    root propagation, where unit clauses have produced no events yet.
+    are entailed and jointly inconsistent).  Clauses on the kernel's
+    [recheck] list (attached unit or falsified) are examined first.
+    [full] instead scans every clause and constraint once first —
+    required for the initial root propagation, where unit clauses have
+    produced no events yet.
     [deadline] is compared against the monotonic clock
     ({!Rtlsat_obs.Mono.now}); [cancel] is polled at the same fuel gate
     (every 4096 events), bounding how long a cancelled worker keeps
@@ -34,9 +47,11 @@ val run :
     set. *)
 
 val check_clause : State.t -> int -> unit
-(** Examine one clause: no-op if satisfied or undetermined, asserts
-    the unit atom, or @raise State.Conflict when falsified. *)
+(** Examine one clause in full, ignoring its watches: no-op if
+    satisfied or undetermined, asserts the unit atom, or @raise
+    State.Conflict when falsified. *)
 
 val propagate_constr : State.t -> int -> unit
-(** Narrow the variables of one arithmetic constraint.
+(** Narrow the variables of one arithmetic constraint, over its
+    compiled row.
     @raise State.Conflict on empty domains. *)

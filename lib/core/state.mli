@@ -18,6 +18,9 @@ type reason = atom array option
 type entry = {
   eatom : atom;      (** the new fact, in canonical bound form *)
   prev : int;        (** bound value this event replaced (for undo) *)
+  eprev : int;
+      (** trail index of the previous event on the same variable and
+          direction, [-1] for none: the per-bound event chain *)
   elevel : int;
   ereason : reason;
 }
@@ -25,6 +28,34 @@ type entry = {
 exception Conflict of atom array
 (** The payload atoms are all entailed and jointly inconsistent. *)
 
+(** A linear constraint compiled once into flat arrays: [Σ coefs.(i) ·
+    vars.(i) + const ≤ 0], and the opposite orientation [Σ ncoefs.(i)
+    · vars.(i) + nconst ≤ 0] — [-e ≤ 0] for [Lin_eq], the integer
+    negation [-e + 1 ≤ 0] for [Pred], absent ([ncoefs = [||]]) for
+    [Lin_le].  [Mux_w] compiles to the empty row. *)
+type row = {
+  coefs : int array;
+  vars : int array;
+  const : int;
+  ncoefs : int array;
+  nconst : int;
+}
+
+(** Watches.  Every clause of length ≥ 2 watches the atoms at its
+    positions 0 and 1 (the kernel reorders its private copy of the
+    atoms).  Watch slot [2v] lists the clauses watching an atom that a
+    lower-bound increase of [v] can falsify ([Neg v], [v ≤ k]); slot
+    [2v+1] those watching an atom that an upper-bound decrease can
+    falsify ([Pos v], [v ≥ k]); a clause watching two atoms of one slot
+    is listed there twice.  An empty slot is one shared empty array;
+    a slot grows on its first push.
+
+    Invariant, once propagation has reached its fixpoint: either both
+    watches are non-falsified, or the falsified one has an entailed
+    partner whose decision level is no higher.  The attach rule
+    establishes it — non-falsified atoms first, then the most recently
+    falsified ones — and a clause that attaches unit or falsified goes
+    on [recheck] for the next propagation. *)
 type t = {
   prob : Rtlsat_constr.Problem.t;
   mutable nv : int;
@@ -34,19 +65,28 @@ type t = {
   mutable init_ub : int array;
   trail : entry Rtlsat_constr.Vec.t;
   lim : int Rtlsat_constr.Vec.t;            (** decision-level boundaries *)
-  mutable lo_ev : (int * int) list array;   (** var → (new lb, trail idx), newest first *)
-  mutable hi_ev : (int * int) list array;   (** var → (new ub, trail idx), newest first *)
+  qlim : int Rtlsat_constr.Vec.t;
+      (** parallel to [lim]: the propagation head when the level was
+          opened.  Below the boundary when a split decision was taken
+          with the queue pending; backtracking replays from there *)
+  mutable lo_last : int array;  (** var → trail index of its newest lower-bound event, -1 *)
+  mutable hi_last : int array;  (** var → trail index of its newest upper-bound event, -1 *)
   clauses : clause Rtlsat_constr.Vec.t;
   root_flags : bool Rtlsat_constr.Vec.t;
       (** parallel to [clauses]: [true] for problem ("root") clauses.
           A per-clause flag, not a prefix — in a session, appended
           problem clauses land after learned ones *)
-  mutable clause_occs : int list array;     (** var → clause indices *)
+  mutable watches : int array array;        (** watch slot → clause indices *)
+  mutable n_watches : int array;            (** watch slot → used length *)
+  recheck : int Rtlsat_constr.Vec.t;
+      (** clauses attached unit or falsified; the next propagation
+          examines them in full *)
   mutable n_root_clauses : int;             (** count of root-flagged clauses *)
   mutable n_prob_clauses : int;
       (** how many of the problem's clauses have been loaded; the sync
           cursor for {!grow} *)
   mutable constrs : constr array;
+  mutable rows : row array;                 (** parallel to [constrs] *)
   mutable constr_occs : int list array;     (** var → constraint indices *)
   mutable qhead : int;
   mutable activity : float array;
@@ -98,22 +138,31 @@ val split_min_width : int
     splitting keeps chasing the crawl into small domains. *)
 
 val create : Rtlsat_constr.Problem.t -> t
-(** Builds the kernel, loads the problem's clauses and constraints and
-    registers occurrence lists.  Unit clauses are asserted at level 0
-    ({!propagate-time} conflicts there surface as {!Conflict}). *)
+(** Builds the kernel: attaches the problem's clauses, compiles its
+    linear constraints into {!row}s and registers constraint
+    occurrence lists.  Nothing is propagated; the first
+    [Propagate.run ~full:true] asserts the unit clauses. *)
 
 val grow : t -> unit
 (** Absorb variables, clauses and constraints appended to the problem
     since [create] (or the previous [grow]).  Variable numbering is
-    append-only, so existing indices, learned clauses and activities
-    stay valid; the per-variable arrays reallocate in place.  New
-    problem clauses are registered as root.  Must be called at
-    decision level 0.
+    append-only, so existing indices, learned clauses, activities,
+    watches and compiled rows stay valid; the per-variable arrays
+    (watch slots included) reallocate, only the new constraints are
+    compiled and only the new clauses attached, as root.  Must be
+    called at decision level 0.
     @raise Invalid_argument above level 0. *)
 
 val decision_level : t -> int
 val new_level : t -> unit
 val backtrack_to : t -> int -> unit
+
+val watch_slot : atom -> int
+(** The watch slot an atom is listed under: [2v] for [Neg v] and
+    [v ≤ k], [2v+1] for [Pos v] and [v ≥ k]. *)
+
+val push_watch : t -> int -> int -> unit
+(** [push_watch s slot ci] lists clause [ci] under [slot]. *)
 
 val entailed : t -> atom -> bool
 val falsified : t -> atom -> bool
@@ -131,24 +180,41 @@ val canonical : t -> atom -> atom
 (** Bound atoms over Boolean variables become [Pos]/[Neg]. *)
 
 val add_clause : t -> ?root:bool -> clause -> unit
-(** Register a clause (learned by default; [~root:true] for problem
-    clauses, which database reduction never drops) with occurrence
-    lists; the caller is responsible for any immediate propagation. *)
+(** Store a private copy of the clause (learned by default;
+    [~root:true] for problem clauses, which database reduction never
+    drops) and attach its watches.  A clause that is unit or falsified
+    under the current bounds is examined by the next
+    [Propagate.run]; a caller that needs its consequence right away
+    (the asserting literal of a learned clause) asserts it itself. *)
 
 val is_root_clause : t -> int -> bool
 (** Whether the clause at this database index is root (problem-level)
     as opposed to learned. *)
 
+val filter_clauses : t -> (int -> clause -> bool) -> unit
+(** The one clause-database rebuild: keep, in order, the clauses for
+    which [keep index atoms] holds, then clear every watch slot and
+    re-attach the kept clauses.  Trail explanations are copied atom
+    arrays and never reference clause storage, so dropping clauses is
+    sound.
+    @raise Invalid_argument above decision level 0. *)
+
 val reduce_clauses : t -> keep_recent:int -> unit
-(** Learned-clause database reduction: drop long, old learned clauses,
-    keeping every original clause, every binary/short learned clause
-    and the [keep_recent] most recent ones.  Safe at any decision
-    level — trail explanations are copied atom arrays and never
-    reference clause storage. *)
+(** Learned-clause database reduction through {!filter_clauses}: drop
+    long, old learned clauses, keeping every original clause, every
+    short (≤ 4 atoms) learned clause and the [keep_recent] most recent
+    ones.
+    @raise Invalid_argument above decision level 0. *)
 
 val entailing_entry : t -> atom -> int option
 (** Trail index of the event that first entailed the (currently
     entailed) atom; [None] when the initial domain already entails it. *)
+
+val lo_reason_atom : t -> var -> atom
+val hi_reason_atom : t -> var -> atom
+(** The canonical atom [v ≥ lb v] (resp. [v ≤ ub v]), taken from the
+    variable's newest trail event rather than allocated.  Requires the
+    bound to be tighter than the initial domain. *)
 
 val bump_var : t -> var -> unit
 val decay_activities : t -> unit

@@ -67,6 +67,34 @@ let test_entailing_entry () =
   check_int "first event" 0 (Option.get (State.entailing_entry s (T.Ge (w, 2))));
   check_int "second event" 1 (Option.get (State.entailing_entry s (T.Ge (w, 6))))
 
+(* a clause attached unit watches its open atom and the most recently
+   falsified one, so it still propagates after a backjump that reopens
+   only that atom and a later event falsifies it again *)
+let test_watch_attach_rule () =
+  let p = P.create () in
+  let a = P.new_bool p () and b = P.new_bool p () and d = P.new_bool p () in
+  let s = State.create p in
+  let propagate () =
+    match Propagate.run s with None -> () | Some _ -> Alcotest.fail "conflict"
+  in
+  State.new_level s;
+  State.assert_atom s (T.Neg a) None;
+  State.new_level s;
+  State.assert_atom s (T.Neg b) None;
+  propagate ();
+  State.add_clause s [| T.Pos b; T.Pos a; T.Pos d |];
+  let c = Rtlsat_constr.Vec.get s.State.clauses 0 in
+  check_bool "watches: the open atom, then the latest falsified" true
+    (c.(0) = T.Pos d && c.(1) = T.Pos b);
+  propagate ();
+  check_int "unit at attach: implied by the next run" 1 (State.bool_value s d);
+  State.backtrack_to s 1;
+  check_int "reopened" (-1) (State.bool_value s d);
+  State.new_level s;
+  State.assert_atom s (T.Neg b) None;
+  propagate ();
+  check_int "implied again through the watch" 1 (State.bool_value s d)
+
 (* ---- conflict analysis on hand-built trails ---- *)
 
 module Conflict = Rtlsat_core.Conflict
@@ -505,6 +533,249 @@ let prop_solver_matches_sim options name =
        | Solver.Unsat -> not expected
        | Solver.Timeout -> QCheck.assume_fail ())
 
+(* ---- kernel fixpoint: watched clauses and compiled rows against a
+   naive reference ---- *)
+
+module Gen = Rtlsat_fuzz.Gen
+module Case = Rtlsat_fuzz.Case
+module Bmc = Rtlsat_bmc.Bmc
+module Unroll = Rtlsat_bmc.Unroll
+module Hsimp = Rtlsat_core.Hsimp
+module Vec = Rtlsat_constr.Vec
+
+exception Ref_conflict
+
+let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
+let cdiv a b = -(fdiv (-a) b)
+
+(* Bounds propagation the slow way: rescan every clause and every
+   constraint over plain bound arrays until nothing changes.  Words
+   are at most 8 bits wide, so plain int arithmetic is exact and the
+   kernel's overflow skips never fire. *)
+let reference_fixpoint s lb ub =
+  let changed = ref true in
+  let set_lo v k =
+    if k > lb.(v) then begin
+      lb.(v) <- k;
+      changed := true;
+      if k > ub.(v) then raise Ref_conflict
+    end
+  in
+  let set_hi v k =
+    if k < ub.(v) then begin
+      ub.(v) <- k;
+      changed := true;
+      if k < lb.(v) then raise Ref_conflict
+    end
+  in
+  let entailed = function
+    | T.Pos v -> lb.(v) >= 1
+    | T.Neg v -> ub.(v) <= 0
+    | T.Ge (v, k) -> lb.(v) >= k
+    | T.Le (v, k) -> ub.(v) <= k
+  in
+  let falsified a = entailed (T.negate_atom a) in
+  let apply = function
+    | T.Pos v -> set_lo v 1
+    | T.Neg v -> set_hi v 0
+    | T.Ge (v, k) -> set_lo v k
+    | T.Le (v, k) -> set_hi v k
+  in
+  let min_side (c, v) = if c > 0 then c * lb.(v) else c * ub.(v) in
+  let max_side (c, v) = if c > 0 then c * ub.(v) else c * lb.(v) in
+  let sum side terms k = List.fold_left (fun acc t -> acc + side t) k terms in
+  let row terms k =
+    if sum min_side terms k > 0 then raise Ref_conflict;
+    List.iter
+      (fun (c, v) ->
+         let rest = sum min_side terms k - min_side (c, v) in
+         if c > 0 then set_hi v (fdiv (-rest) c) else set_lo v (cdiv rest (-c)))
+      terms
+  in
+  let neg terms = List.map (fun (c, v) -> (-c, v)) terms in
+  let constr = function
+    | T.Lin_le e -> row e.T.terms e.T.const
+    | T.Lin_eq e ->
+      row e.T.terms e.T.const;
+      row (neg e.T.terms) (-e.T.const)
+    | T.Pred { b; e } ->
+      if lb.(b) = 1 then row e.T.terms e.T.const
+      else if ub.(b) = 0 then row (neg e.T.terms) (-e.T.const + 1)
+      else if sum max_side e.T.terms e.T.const <= 0 then set_lo b 1
+      else if sum min_side e.T.terms e.T.const > 0 then set_hi b 0
+    | T.Mux_w { sel; t; e; z } ->
+      let equal x =
+        set_lo z lb.(x);
+        set_hi z ub.(x);
+        set_lo x lb.(z);
+        set_hi x ub.(z)
+      in
+      if lb.(sel) = 1 then equal t
+      else if ub.(sel) = 0 then equal e
+      else begin
+        set_lo z (min lb.(t) lb.(e));
+        set_hi z (max ub.(t) ub.(e));
+        let disjoint x = lb.(z) > ub.(x) || ub.(z) < lb.(x) in
+        if disjoint t then set_hi sel 0;
+        if disjoint e then set_lo sel 1
+      end
+  in
+  while !changed do
+    changed := false;
+    Vec.iter
+      (fun c ->
+         if not (Array.exists entailed c) then
+           match List.filter (fun a -> not (falsified a)) (Array.to_list c) with
+           | [] -> raise Ref_conflict
+           | [ a ] -> apply a
+           | _ -> ())
+      s.State.clauses;
+    Array.iter constr s.State.constrs
+  done
+
+(* one Propagate.run, checked against the reference started from the
+   same bounds; the conflict when both report one *)
+let run_checked ?(full = false) s =
+  let lb = Array.copy s.State.lb and ub = Array.copy s.State.ub in
+  let got = Propagate.run ~full s in
+  let expect_conflict =
+    match reference_fixpoint s lb ub with () -> false | exception Ref_conflict -> true
+  in
+  match got with
+  | Some _ ->
+    if not expect_conflict then failwith "kernel conflict, reference none";
+    got
+  | None ->
+    if expect_conflict then failwith "reference conflict, kernel none";
+    if lb <> s.State.lb || ub <> s.State.ub then failwith "bounds differ from the reference";
+    if s.State.qhead <> Vec.length s.State.trail then failwith "queue left pending";
+    Vec.iter
+      (fun c ->
+         if not (Array.exists (State.entailed s) c) then
+           let free = List.filter (fun a -> not (State.falsified s a)) (Array.to_list c) in
+           if List.length free < 2 then failwith "clause left unit or falsified")
+      s.State.clauses;
+    None
+
+let random_atom rng s =
+  let free =
+    List.filter (fun v -> s.State.lb.(v) < s.State.ub.(v)) (List.init s.State.nv Fun.id)
+  in
+  match free with
+  | [] -> None
+  | _ ->
+    let v = List.nth free (Random.State.int rng (List.length free)) in
+    let lo = s.State.lb.(v) and hi = s.State.ub.(v) in
+    let up = Random.State.bool rng in
+    if P.is_bool_var s.State.prob v then Some (if up then T.Pos v else T.Neg v)
+    else if up then Some (T.Ge (v, lo + 1 + Random.State.int rng (hi - lo)))
+    else Some (T.Le (v, lo + Random.State.int rng (hi - lo)))
+
+(* an atom the current bounds falsify (a word atom beyond the initial
+   domain when no bound has moved yet) *)
+let falsified_atom rng s =
+  let moved =
+    List.filter
+      (fun v ->
+         s.State.lb.(v) > s.State.init_lb.(v) || s.State.ub.(v) < s.State.init_ub.(v))
+      (List.init s.State.nv Fun.id)
+  in
+  match moved with
+  | [] ->
+    let words = List.filter (fun v -> not (P.is_bool_var s.State.prob v)) (List.init s.State.nv Fun.id) in
+    (match words with
+     | [] -> None
+     | _ ->
+       let v = List.nth words (Random.State.int rng (List.length words)) in
+       Some (T.Ge (v, s.State.init_ub.(v) + 1)))
+  | _ ->
+    let v = List.nth moved (Random.State.int rng (List.length moved)) in
+    let bool = P.is_bool_var s.State.prob v in
+    if s.State.lb.(v) > s.State.init_lb.(v) then
+      Some (if bool then T.Neg v else T.Le (v, s.State.lb.(v) - 1))
+    else Some (if bool then T.Pos v else T.Ge (v, s.State.ub.(v) + 1))
+
+(* a random sequence of decisions, propagations, conflict analyses
+   and backjumps, with clause additions, database reduction and Hsimp
+   at level 0, every propagation checked against the reference; stops
+   at a root conflict *)
+let kernel_sequence seed =
+  let rng = Random.State.make [| seed |] in
+  let cfg = { Gen.default with Gen.max_width = 8; max_nodes = 120 } in
+  (* the first of seed, seed+1, ... whose property cone has word
+     constraints (about half are purely Boolean) *)
+  let rec problem seed =
+    let case = Gen.circuit ~cfg ~seed () in
+    let p = (E.encode (Unroll.combo (Case.instance case).Bmc.unrolled)).E.problem in
+    if P.n_constrs p > 0 then p else problem (seed + 1)
+  in
+  let s = State.create (problem seed) in
+  let root_conflict = ref (run_checked ~full:true s <> None) in
+  let step = ref 0 in
+  let backjump () =
+    let lvl = State.decision_level s in
+    if lvl > 0 then State.backtrack_to s (Random.State.int rng lvl)
+  in
+  (* above level 0, learn as the solver does: backjump, attach the
+     clause (its watches are the asserting atom and the latest
+     falsified one) and assert it *)
+  let check_run () =
+    match run_checked s with
+    | None -> ()
+    | Some _ when State.decision_level s = 0 -> root_conflict := true
+    | Some conflict ->
+      (match Conflict.analyze s conflict with
+       | exception Conflict.Root_conflict -> root_conflict := true
+       | { Conflict.clause; btlevel } ->
+         State.backtrack_to s btlevel;
+         State.add_clause s clause;
+         let uip = clause.(0) in
+         let reason = Array.map T.negate_atom (Array.sub clause 1 (Array.length clause - 1)) in
+         State.assert_atom s uip (Some reason))
+  in
+  while (not !root_conflict) && !step < 60 do
+    incr step;
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      (match random_atom rng s with
+       | None -> backjump ()
+       | Some a ->
+         State.new_level s;
+         State.assert_atom s a None;
+         check_run ())
+    | 6 | 7 ->
+      backjump ();
+      check_run ()
+    | 8 ->
+      State.backtrack_to s 0;
+      (* an open atom, then open or falsified ones: a clause can
+         attach unit *)
+      for _ = 1 to 1 + Random.State.int rng 4 do
+        let atoms =
+          List.filter_map
+            (fun i ->
+               if i > 0 && Random.State.int rng 3 = 0 then falsified_atom rng s
+               else random_atom rng s)
+            (List.init (1 + Random.State.int rng 3) Fun.id)
+        in
+        if atoms <> [] then State.add_clause s (Array.of_list atoms)
+      done;
+      State.reduce_clauses s ~keep_recent:(Random.State.int rng 3);
+      check_run ()
+    | _ ->
+      State.backtrack_to s 0;
+      ignore (Hsimp.run s);
+      check_run ()
+  done
+
+let prop_kernel_fixpoint =
+  QCheck.Test.make ~name:"kernel fixpoint = naive reference" ~count:500
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+       match kernel_sequence seed with
+       | () -> true
+       | exception Failure msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
 let qsuite = Qutil.qsuite
 
 let () =
@@ -515,6 +786,7 @@ let () =
           Alcotest.test_case "bounds & backtrack" `Quick test_state_bounds;
           Alcotest.test_case "conflict on empty domain" `Quick test_state_conflict_on_empty;
           Alcotest.test_case "entailing entry" `Quick test_entailing_entry;
+          Alcotest.test_case "watch attach rule" `Quick test_watch_attach_rule;
         ] );
       ( "conflict",
         [
@@ -558,6 +830,7 @@ let () =
           Alcotest.test_case "collect_learned default" `Quick
             test_collect_learned_off_by_default;
         ] );
+      qsuite "kernel" [ prop_kernel_fixpoint ];
       qsuite "props"
         (List.map
            (fun (name, options) ->

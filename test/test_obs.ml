@@ -214,14 +214,14 @@ let test_snapshot_json_schema () =
 
 (* ---- trace round trip on a tiny instance ---- *)
 
-let solve_instance ?obs ?(collect = false) () =
+let solve_instance ?obs ?(collect = false) ?(circuit = "b13") ?(options = Solver.hdpll_sp) () =
   (* b13_1(10): small, UNSAT, but needs real decisions and conflicts *)
-  let inst = Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10 in
+  let inst = Registry.instance ~circuit ~prop:"1" ~bound:10 in
   let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
   E.assume_bool enc inst.Bmc.violation true;
   let options =
     {
-      Solver.hdpll_sp with
+      options with
       Solver.collect_learned = collect;
       Solver.obs = (match obs with Some o -> o | None -> Obs.disabled);
     }
@@ -264,22 +264,32 @@ let test_trace_round_trip () =
 
 (* ---- determinism: observability must not change the solve ---- *)
 
+(* the propagation kernel is one code path: the obs-on arm only
+   brackets the same calls in spans, so with a trace, the flight
+   recorder and forensics attached the search must match the obs-off
+   run exactly *)
 let test_observation_does_not_change_solve () =
-  let plain = solve_instance ~collect:true () in
-  let path = Filename.temp_file "rtlsat_trace" ".jsonl" in
-  let obs = Obs.create ~trace:(Trace.to_file path) () in
-  let observed = solve_instance ~obs ~collect:true () in
-  Obs.close obs;
-  Sys.remove path;
-  check_bool "same result" true (plain.Solver.result = observed.Solver.result);
-  check_int "same decisions" plain.Solver.stats.Solver.decisions
-    observed.Solver.stats.Solver.decisions;
-  check_int "same conflicts" plain.Solver.stats.Solver.conflicts
-    observed.Solver.stats.Solver.conflicts;
-  check_int "same propagations" plain.Solver.stats.Solver.propagations
-    observed.Solver.stats.Solver.propagations;
-  check_bool "same learned clauses, same order" true
-    (plain.Solver.learned_clauses = observed.Solver.learned_clauses)
+  List.iter
+    (fun (circuit, (engine, options)) ->
+       let plain = solve_instance ~collect:true ~circuit ~options () in
+       let path = Filename.temp_file "rtlsat_trace" ".jsonl" in
+       let obs = Obs.create ~trace:(Trace.to_file path) ~recorder:(Recorder.create ()) () in
+       let observed = solve_instance ~obs ~collect:true ~circuit ~options () in
+       Obs.close obs;
+       Sys.remove path;
+       let check what = check_int (Printf.sprintf "%s_1(10) %s: same %s" circuit engine what) in
+       let a = plain.Solver.stats and b = observed.Solver.stats in
+       check_bool "forensics attached" true (Obs.forensics obs <> None);
+       check_bool "same result" true (plain.Solver.result = observed.Solver.result);
+       check "decisions" a.Solver.decisions b.Solver.decisions;
+       check "conflicts" a.Solver.conflicts b.Solver.conflicts;
+       check "propagations" a.Solver.propagations b.Solver.propagations;
+       check_bool "same learned clauses, same order" true
+         (plain.Solver.learned_clauses = observed.Solver.learned_clauses))
+    (List.concat_map
+       (fun circuit ->
+          [ (circuit, ("hdpll", Solver.hdpll)); (circuit, ("hdpll+s+p", Solver.hdpll_sp)) ])
+       [ "b13"; "b07" ])
 
 (* ---- forensics: stall detection unit tests ---- *)
 
